@@ -21,12 +21,13 @@
 //!   observability must stay near-free when enabled and exactly free
 //!   when disabled (records without the A/B fields skip this gate);
 //! * the every-core re-run below `min_parallel_efficiency` (0.6) of
-//!   linear scaling over its warm single-thread twin — the two-level
+//!   linear scaling over its warm single-thread twin — the sweep
 //!   executor must not waste its thread budget (reduces to a sanity
 //!   bound on single-core hosts);
-//! * `delta_equivalent == false` — the delta-lowered sweep must
-//!   reproduce from-scratch lowering bit for bit (records without the
-//!   delta A/B fields skip both gates);
+//! * `slot_equivalent` not `true` — every point of the slot-walk sweep
+//!   must reproduce the task-graph replay (iteration time and
+//!   utilization bits). A missing field fails too, except on `--full`
+//!   records, which skip the check;
 //! * serve-daemon regressions, when `results/BENCH_serve.json` exists
 //!   (`bench_serve` ran): warm-traffic `requests_per_sec` more than
 //!   `max_serve_regression_pct` (30 %) below the baseline's
@@ -406,22 +407,20 @@ fn main() -> ExitCode {
         }
     }
 
-    // Delta-equivalence gate: when the producer ran the delta-off A/B,
-    // the delta-lowered sweep must have reproduced the from-scratch
-    // points exactly — a `false` here means the patching invariant broke.
-    match sweep.get("delta_equivalent") {
-        None => println!("delta equivalence: not recorded in BENCH_sweep.json — not gated"),
-        Some(Value::Bool(true)) => {
-            let delta_pps =
-                sweep.get("points_per_sec_delta_off").and_then(Value::as_f64).unwrap_or(f64::NAN);
-            println!(
-                "delta equivalence: delta-on points match from-scratch lowering \
-                 (delta-off twin ran at {delta_pps:.1} points/s)"
-            );
+    // Slot-equivalence gate: the producer re-prices every swept point on
+    // the task-graph path; anything but `true` means the slot walk
+    // diverged from the replay it replaces. Only `--full` records (one
+    // graph lowering per point of the whole space) may omit the check.
+    match sweep.get("slot_equivalent") {
+        None | Some(Value::Null) if sweep_grid(&sweep) == "full" => {
+            println!("slot equivalence: not recorded on the full grid — not gated")
         }
-        Some(other) => failures.push(format!(
-            "delta-lowered sweep diverged from from-scratch lowering \
-             (BENCH_sweep.delta_equivalent = {other:?})"
+        Some(Value::Bool(true)) => {
+            println!("slot equivalence: every swept point matches the task-graph replay")
+        }
+        other => failures.push(format!(
+            "slot-walk sweep not proven equal to the task-graph replay \
+             (BENCH_sweep.slot_equivalent = {other:?})"
         )),
     }
 

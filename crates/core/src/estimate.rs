@@ -12,8 +12,15 @@
 //! 3. **simulate** — the Algorithm 1 replay ([`simulate`]);
 //! 4. **summarize** — fold a [`SimReport`] into an [`IterationEstimate`].
 //!
-//! [`Estimator::estimate`] and [`Estimator::measure`] are thin
-//! compositions of the stages. Profiles are memoized in a concurrent
+//! Predicted estimates under the closed-form network model
+//! ([`Estimator::estimate`], the sweep's hot path and
+//! [`Estimator::estimate_staged`]) never build the graph: "lower" prices
+//! the plan's latency-slot table and "simulate" walks each stage's
+//! pipeline schedule over it (`slot_replay`), bit-identical to the graph
+//! replay. Fair sharing, [`Estimator::measure`] and
+//! [`Estimator::timeline`] need per-task replay and keep the graph path.
+//!
+//! Profiles are memoized in a concurrent
 //! cache keyed by `(GpuKey, OpSignature)` shared across clones of the
 //! estimator — a design-space sweep profiles each unique signature once,
 //! not once per plan (§III-C, §III-F) — and cached results are
@@ -26,21 +33,19 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use vtrain_gpu::NoiseModel;
 use vtrain_graph::{
-    build_op_graph, plan_shape_key, plan_signatures, CommKind, CommOp, CompKind, GraphOptions, Op,
-    OpSignature, PlanShapeKey, StreamKind,
+    build_op_graph, plan_signatures, CommKind, CommOp, CompKind, GraphOptions, Op, OpSignature,
+    StreamKind,
 };
 use vtrain_model::{ModelConfig, TimeNs};
 use vtrain_net::flow::FlowProgram;
 use vtrain_net::{NetworkBackend, Topology};
 use vtrain_obs::{CounterSample, TimelineRecorder, TraceSpan};
 use vtrain_parallel::{ClusterSpec, ParallelConfig, PipelineSchedule, PlanError};
-use vtrain_profile::{CacheStats, CommModel, GpuKey, ProfileCache, Profiler};
+use vtrain_profile::{CacheStats, CommModel, GpuKey, ProfileCache, ProfileSet, Profiler};
 
-use crate::compact::{
-    lower_plan_delta, replay_lowered, CompactScratch, LowerOutcome, ProfileSource,
-};
 use crate::flow_replay::simulate_flows;
 use crate::sim::{simulate, simulate_into_traced, BusyBreakdown, SimMode, SimReport, SimScratch};
+use crate::slot_replay::{price_slots, walk, ProfileSource, SlotScratch};
 use crate::task_graph::{TaskGraph, TaskKind};
 
 /// Error produced by [`Estimator::estimate`].
@@ -295,34 +300,25 @@ impl EstimatorBuilder {
 }
 
 /// Reusable per-thread state of the sweep's evaluation hot path: the
-/// compact lowering/replay buffers, the report whose vectors are
-/// recycled, and this thread's exact share of profile-cache traffic.
+/// slot-walk buffers, the report whose vectors are recycled, and this
+/// thread's exact share of profile-cache traffic.
 ///
 /// Thread one of these through [`Estimator::estimate_validated_with`] and
-/// steady-state evaluation performs no per-point heap allocation.
+/// steady-state closed-form evaluation performs no per-point heap
+/// allocation beyond the walk's per-plan layer partition.
 #[derive(Default)]
 pub struct EstimatorScratch {
-    compact: CompactScratch,
+    walk: SlotScratch,
     report: SimReport,
     /// Profile-cache hits/misses attributable to this scratch's owner.
     cache_stats: CacheStats,
-    /// Points lowered from scratch through the graph builder (monotonic).
-    delta_fresh: u64,
-    /// Points delta-patched from a shape-compatible neighbor (monotonic).
-    delta_patched: u64,
 }
 
 impl EstimatorScratch {
-    /// This scratch's exact profile-cache hit/miss tally (monotonic).
+    /// This scratch's exact profile-cache hit/miss tally (monotonic),
+    /// under either network backend.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache_stats
-    }
-
-    /// `(fresh, patched)` lowering counts of this scratch: how many
-    /// points were lowered from scratch vs. delta-patched from a
-    /// shape-compatible neighbor's cached graph (monotonic).
-    pub fn delta_counts(&self) -> (u64, u64) {
-        (self.delta_fresh, self.delta_patched)
     }
 }
 
@@ -441,18 +437,31 @@ impl Estimator {
     /// Panics if the plan is invalid for the model (run
     /// [`Estimator::validate`] first).
     pub fn lower(&self, model: &ModelConfig, plan: &ParallelConfig) -> TaskGraph {
-        let sigs = plan_signatures(model, plan, &self.graph_opts);
-        let mut profiles = self
-            .cache
-            .resolve(&self.profiler, sigs.iter().filter(|s| s.kind != CompKind::WeightUpdate));
-        for sig in sigs.iter().filter(|s| s.kind == CompKind::WeightUpdate) {
-            profiles.insert(*sig, Arc::new(self.profiler.profile_operator(sig)));
+        self.lower_counted(model, plan, &mut CacheStats::default())
+    }
+
+    /// [`Estimator::lower`] with every profile lookup also tallied into
+    /// `stats` (the sweep worker's attribution).
+    fn lower_counted(
+        &self,
+        model: &ModelConfig,
+        plan: &ParallelConfig,
+        stats: &mut CacheStats,
+    ) -> TaskGraph {
+        let mut profiles = ProfileSet::default();
+        for sig in plan_signatures(model, plan, &self.graph_opts) {
+            let profile = if sig.kind == CompKind::WeightUpdate {
+                Arc::new(self.profiler.profile_operator(&sig))
+            } else {
+                self.cache.get_with(&self.gpu_key, &self.profiler, &sig, stats)
+            };
+            profiles.insert(sig, profile);
         }
         TaskGraph::lower_fused(model, plan, &self.graph_opts, &profiles, &self.comm)
             .expect("plan_signatures covers all emitted operators")
     }
 
-    /// [`Estimator::lower`] plus the per-task flow programs the
+    /// [`Estimator::lower_counted`] plus the per-task flow programs the
     /// fair-sharing replay consumes: `programs[i]` is `Some` exactly for
     /// the link-crossing communication tasks (the fused lowering emits
     /// one task per operator-graph node in node order, so task id ==
@@ -461,9 +470,10 @@ impl Estimator {
         &self,
         model: &ModelConfig,
         plan: &ParallelConfig,
+        stats: &mut CacheStats,
     ) -> (TaskGraph, Vec<Option<FlowProgram>>) {
         let graph = build_op_graph(model, plan, &self.graph_opts);
-        let tg = self.lower(model, plan);
+        let tg = self.lower_counted(model, plan, stats);
         assert_eq!(tg.len(), graph.num_nodes(), "lowering preserves node count and order");
         let programs = graph
             .nodes()
@@ -515,32 +525,13 @@ impl Estimator {
         plan: &ParallelConfig,
     ) -> Result<IterationEstimate, EstimateError> {
         self.validate(model, plan)?;
-        Ok(self.estimate_validated(model, plan))
+        Ok(self.estimate_point(model, plan, &mut EstimatorScratch::default(), None))
     }
 
-    /// [`Estimator::estimate`] without re-running stage 1 — for callers
-    /// (the sweep executor) that have already validated the plan.
-    pub(crate) fn estimate_validated(
-        &self,
-        model: &ModelConfig,
-        plan: &ParallelConfig,
-    ) -> IterationEstimate {
-        if self.network() == NetworkBackend::FairSharing {
-            let (tg, programs) = self.lower_with_programs(model, plan);
-            let report = simulate_flows(&tg, &programs, self.topology(), None, None);
-            return self.summarize(model, plan, &report);
-        }
-        let tg = self.lower(model, plan);
-        let report = self.simulate(&tg, SimMode::Predicted);
-        self.summarize(model, plan, &report)
-    }
-
-    /// The sweep's allocation-free hot path: lowers `(model, plan)`
-    /// straight into the scratch's aggregated replay graph and replays it
-    /// in Predicted mode, reusing every buffer point to point. The result
-    /// is bit-identical to [`Estimator::estimate`] (equivalence proven by
-    /// the compact-replay property tests and the sweep golden tests); the
-    /// plan must already be validated.
+    /// The sweep's hot path: [`Estimator::estimate`] for an already
+    /// validated plan, reusing `scratch`'s buffers point to point and
+    /// tallying profile lookups into it. Closed-form estimates walk the
+    /// slot table; fair-sharing ones lower and replay the task graph.
     ///
     /// # Panics
     ///
@@ -552,101 +543,57 @@ impl Estimator {
         plan: &ParallelConfig,
         scratch: &mut EstimatorScratch,
     ) -> IterationEstimate {
-        self.estimate_validated_delta(model, plan, scratch, true, 1, None)
+        self.estimate_point(model, plan, scratch, None)
     }
 
-    /// The full-control compact hot path: [`Estimator::estimate_validated_with`]
-    /// plus the delta-lowering switch, the two-level replay shard count,
-    /// and optional per-stage wall-clock attribution (timed *inside* the
-    /// fused pipeline, so the delta path's lower/simulate split is
-    /// observable). The estimate is bit-identical across every knob
-    /// combination — delta patches and shard splits are exact
-    /// re-pricings, proven by the compact A/B property tests.
-    pub(crate) fn estimate_validated_delta(
+    /// The one Predicted estimate of a validated plan, with optional
+    /// per-stage wall-clock attribution. Under the closed form, `lower`
+    /// prices the slot table and `simulate` is the slot walk; under fair
+    /// sharing they are the full lowering and the flow replay.
+    pub(crate) fn estimate_point(
         &self,
         model: &ModelConfig,
         plan: &ParallelConfig,
         scratch: &mut EstimatorScratch,
-        delta: bool,
-        shards: usize,
         stages: Option<&mut StageNanos>,
     ) -> IterationEstimate {
+        let timed = stages.is_some();
+        let now = || timed.then(Instant::now);
+        let EstimatorScratch { walk: slots, report, cache_stats } = scratch;
+        let t0 = now();
+        let (t1, t2, t3);
         if self.network() == NetworkBackend::FairSharing {
-            // The compact/delta hot path prices each comm task in
-            // isolation — exactly the assumption fair sharing drops — so
-            // every fair-sharing point takes the full lowering + physical
-            // replay. This also keeps the ClosedForm compact path (and
-            // with it the sweep's winners) byte-identical to before the
-            // backend existed.
-            let estimate = match stages {
-                None => self.estimate_validated(model, plan),
-                Some(stages) => self.estimate_validated_staged(model, plan, stages),
+            // The walk prices each comm task in isolation — exactly the
+            // assumption fair sharing drops — so every fair-sharing point
+            // takes the full lowering + physical replay.
+            let graph = self.lower_with_programs(model, plan, cache_stats);
+            t1 = now();
+            *report = simulate_flows(&graph.0, &graph.1, self.topology(), None, None);
+            t2 = now();
+            // Teardown is attributed to the stage that allocated.
+            drop(graph);
+            t3 = now();
+        } else {
+            let mut source = CacheSource {
+                cache: &self.cache,
+                profiler: &self.profiler,
+                gpu_key: &self.gpu_key,
+                stats: cache_stats,
             };
-            scratch.delta_fresh += 1;
-            return estimate;
+            price_slots(model, plan, &self.graph_opts, &mut source, &self.comm, slots)
+                .expect("estimator profile source resolves every signature");
+            t1 = now();
+            walk(model, plan, slots, report);
+            t2 = now();
+            t3 = t2;
         }
-        let EstimatorScratch { compact, report, cache_stats, delta_fresh, delta_patched } = scratch;
-        let mut source = CacheSource {
-            cache: &self.cache,
-            profiler: &self.profiler,
-            gpu_key: &self.gpu_key,
-            stats: cache_stats,
-        };
-        let outcome;
-        let estimate = match stages {
-            None => {
-                outcome = lower_plan_delta(
-                    model,
-                    plan,
-                    &self.graph_opts,
-                    &mut source,
-                    &self.comm,
-                    compact,
-                    delta,
-                    shards,
-                )
-                .expect("estimator profile source resolves every signature");
-                replay_lowered(compact, plan.pipeline(), report);
-                self.summarize(model, plan, report)
-            }
-            Some(stages) => {
-                let t0 = Instant::now();
-                outcome = lower_plan_delta(
-                    model,
-                    plan,
-                    &self.graph_opts,
-                    &mut source,
-                    &self.comm,
-                    compact,
-                    delta,
-                    shards,
-                )
-                .expect("estimator profile source resolves every signature");
-                let t1 = Instant::now();
-                replay_lowered(compact, plan.pipeline(), report);
-                let t2 = Instant::now();
-                let estimate = self.summarize(model, plan, report);
-                let t3 = Instant::now();
-                stages.lower_ns += (t1 - t0).as_nanos() as u64;
-                stages.simulate_ns += (t2 - t1).as_nanos() as u64;
-                stages.summarize_ns += (t3 - t2).as_nanos() as u64;
-                estimate
-            }
-        };
-        match outcome {
-            LowerOutcome::Fresh => *delta_fresh += 1,
-            LowerOutcome::Patched => *delta_patched += 1,
+        let estimate = self.summarize(model, plan, report);
+        if let (Some(stages), Some(t0), Some(t1), Some(t2), Some(t3)) = (stages, t0, t1, t2, t3) {
+            stages.lower_ns += ((t1 - t0) + (t3 - t2)).as_nanos() as u64;
+            stages.simulate_ns += (t2 - t1).as_nanos() as u64;
+            stages.summarize_ns += t3.elapsed().as_nanos() as u64;
         }
         estimate
-    }
-
-    /// The structural shape key of `(model, plan)` under this
-    /// estimator's graph options: equal keys guarantee identical compact
-    /// graph structure, licensing a delta patch between the two plans.
-    /// The sweep executor groups candidates by this key so
-    /// shape-compatible neighbors are visited back to back.
-    pub(crate) fn shape_key(&self, model: &ModelConfig, plan: &ParallelConfig) -> PlanShapeKey {
-        plan_shape_key(model, plan, &self.graph_opts)
     }
 
     /// An admissible analytic lower bound on the plan's Predicted
@@ -709,7 +656,7 @@ impl Estimator {
     /// [`Estimator::estimate`] with wall-clock stage attribution: each of
     /// the four pipeline stages is timed individually and accumulated
     /// into `stages`. The estimate itself is bit-identical to
-    /// [`Estimator::estimate`] — only the composition is unrolled.
+    /// [`Estimator::estimate`] — it runs the same path, timed from inside.
     ///
     /// # Errors
     ///
@@ -723,50 +670,7 @@ impl Estimator {
         let t0 = Instant::now();
         self.validate(model, plan)?;
         stages.validate_ns += t0.elapsed().as_nanos() as u64;
-        Ok(self.estimate_validated_staged(model, plan, stages))
-    }
-
-    /// The staged estimate for pre-validated plans (the sweep's
-    /// `--stage-profile` path): `lower`, `simulate`, and `summarize` are
-    /// timed individually. Runs the unfused staged pipeline, whose result
-    /// is bit-identical to the compact hot path (pinned by the compact
-    /// equivalence tests) — stage profiling trades speed for attribution.
-    pub(crate) fn estimate_validated_staged(
-        &self,
-        model: &ModelConfig,
-        plan: &ParallelConfig,
-        stages: &mut StageNanos,
-    ) -> IterationEstimate {
-        if self.network() == NetworkBackend::FairSharing {
-            let t0 = Instant::now();
-            let (tg, programs) = self.lower_with_programs(model, plan);
-            let t1 = Instant::now();
-            let report = simulate_flows(&tg, &programs, self.topology(), None, None);
-            let t2 = Instant::now();
-            let estimate = self.summarize(model, plan, &report);
-            let t3 = Instant::now();
-            stages.lower_ns += (t1 - t0).as_nanos() as u64;
-            stages.simulate_ns += (t2 - t1).as_nanos() as u64;
-            stages.summarize_ns += (t3 - t2).as_nanos() as u64;
-            return estimate;
-        }
-        let t0 = Instant::now();
-        let tg = self.lower(model, plan);
-        let t1 = Instant::now();
-        let report = self.simulate(&tg, SimMode::Predicted);
-        let t2 = Instant::now();
-        let estimate = self.summarize(model, plan, &report);
-        drop(report);
-        let t3 = Instant::now();
-        drop(tg);
-        let t4 = Instant::now();
-        // Teardown is attributed to the stage that allocated: the task
-        // graph to `lower`, the report to `summarize` — otherwise per-
-        // point deallocation (µs-scale) leaks out of the attribution.
-        stages.lower_ns += ((t1 - t0) + (t4 - t3)).as_nanos() as u64;
-        stages.simulate_ns += (t2 - t1).as_nanos() as u64;
-        stages.summarize_ns += (t3 - t2).as_nanos() as u64;
-        estimate
+        Ok(self.estimate_point(model, plan, &mut EstimatorScratch::default(), Some(stages)))
     }
 
     /// Captures a fully-labeled per-stream execution timeline of one
@@ -1288,14 +1192,50 @@ mod tests {
         let est = Estimator::builder(cluster).network(NetworkBackend::FairSharing).build();
         let composed = est.estimate(&model, &p).unwrap();
         let mut scratch = EstimatorScratch::default();
-        let compact = est.estimate_validated_with(&model, &p, &mut scratch);
-        assert_eq!(composed.iteration_time, compact.iteration_time);
-        assert_eq!(composed.busy, compact.busy);
-        assert_eq!(scratch.delta_counts(), (1, 0), "fair sharing always lowers fresh");
+        let before = est.cache_stats();
+        let hot = est.estimate_validated_with(&model, &p, &mut scratch);
+        assert_eq!(composed.iteration_time, hot.iteration_time);
+        assert_eq!(composed.busy, hot.busy);
+        // The fair branch attributes its profile lookups to the scratch.
+        assert_eq!(scratch.cache_stats(), est.cache_stats().since(&before));
+        assert!(scratch.cache_stats().hits > 0);
         let mut stages = StageNanos::default();
         let staged = est.estimate_staged(&model, &p, &mut stages).unwrap();
         assert_eq!(composed.iteration_time, staged.iteration_time);
         assert!(stages.simulate_ns > 0);
+    }
+
+    #[test]
+    fn fair_sharing_measure_and_timeline_stay_on_the_task_graph() {
+        // The slot walk prices closed-form Predicted estimates only. These
+        // three paths need the lowered task graph; each must reproduce
+        // its graph replay exactly.
+        let cluster = ClusterSpec::aws_p4d(32);
+        let model = presets::megatron("1.7B");
+        let p = plan(2, 4, 4, 1, 32);
+        let closed = Estimator::builder(cluster.clone()).build();
+        let tasks = closed.lower(&model, &p);
+
+        // FairSharing: the flow replay over the lowered graph.
+        let fair = Estimator::builder(cluster).network(NetworkBackend::FairSharing).build();
+        let (tg, programs) = fair.lower_with_programs(&model, &p, &mut CacheStats::default());
+        let report = simulate_flows(&tg, &programs, fair.topology(), None, None);
+        let estimate = fair.estimate(&model, &p).unwrap();
+        assert_eq!(estimate, fair.summarize(&model, &p, &report));
+
+        // measure: the Measured replay keys noise on task ids.
+        let noise = closed.noise();
+        let nodes = p.num_gpus().div_ceil(8);
+        let mut report = closed.simulate(&tasks, SimMode::Measured { noise, nodes });
+        let bias = noise.iteration_bias(stable_config_key(&model, &p), nodes);
+        report.iteration_time = report.iteration_time.scale(bias);
+        let measured = closed.measure(&model, &p).unwrap();
+        assert_eq!(measured, closed.summarize(&model, &p, &report));
+
+        // timeline: one span per task of the lowered graph.
+        let timeline = closed.timeline(&model, &p).unwrap();
+        assert_eq!(timeline.report, closed.simulate(&tasks, SimMode::Predicted));
+        assert_eq!(timeline.recorder.spans().len(), tasks.len());
     }
 
     #[test]

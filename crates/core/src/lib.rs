@@ -11,6 +11,15 @@
 //! honoring dependencies and computation/communication overlap; stream-
 //! chained graphs take a provably equivalent dataflow fast path) →
 //! **summarize** (fold the replay into an [`IterationEstimate`]).
+//!
+//! Predicted estimates under the closed-form network model skip the
+//! graph: there, **lower** prices the plan's latency-slot table
+//! ([`vtrain_graph::visit_plan_slots`]) and **simulate** walks each
+//! stage's pipeline schedule slot by slot over it, bit-identical to the
+//! graph replay. The fair-sharing network model, [`Estimator::measure`]
+//! and [`Estimator::timeline`] replay the full task graph, which also
+//! serves as the walk's test oracle.
+//!
 //! [`Estimator::estimate`] composes the stages; [`search`] sweeps the
 //! `(t, d, p, m)` design space on a work-stealing executor that shares the
 //! profile cache across workers (each unique operator signature is
@@ -46,12 +55,12 @@
 #![warn(missing_docs)]
 
 pub mod bounds;
-mod compact;
 mod cost;
 mod estimate;
 mod flow_replay;
 pub mod search;
 mod sim;
+mod slot_replay;
 mod task_graph;
 
 pub use cost::{CostModel, TrainingProjection};

@@ -9,7 +9,6 @@
 //! estimator's profile cache, so each unique operator signature is
 //! profiled once per sweep rather than once per plan.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -208,21 +207,13 @@ pub struct SweepStats {
     pub cache_hits: u64,
     /// Profile-cache misses (signatures profiled) during this sweep.
     pub cache_misses: u64,
-    /// Evaluated points lowered from scratch through the graph builder.
-    #[serde(default)]
-    pub delta_fresh: u64,
-    /// Evaluated points delta-patched from a shape-compatible neighbor's
-    /// cached graph structure (always 0 with
-    /// [`Sweep::delta_lowering`]`(false)`).
+    /// Always 0: points are priced by the slot walk or lowered in full,
+    /// never patched from a neighbor's graph. Kept so existing readers
+    /// of the record keep parsing it.
     #[serde(default)]
     pub delta_patched: u64,
     /// Worker threads used.
     pub threads: usize,
-    /// Replay shards each worker splits a candidate's value refill
-    /// across — greater than 1 only when the candidate count is small
-    /// relative to the thread budget (the two-level split).
-    #[serde(default)]
-    pub shards: usize,
     /// Wall-clock seconds.
     pub wall_s: f64,
 }
@@ -268,8 +259,8 @@ pub struct StageProfile {
     /// `Front`/`Best` goals), summed over workers.
     pub bound_ns: u64,
     /// Time spent ordering the candidate visit — GPU-count sorting for
-    /// bound-guided goals, shape-key grouping for delta sweeps (a
-    /// once-per-sweep driver pass, not per-point work).
+    /// bound-guided goals (a once-per-sweep driver pass, not per-point
+    /// work; always 0 for exhaustive sweeps).
     #[serde(default)]
     pub order_ns: u64,
     /// Elapsed wall-clock time of the whole sweep.
@@ -431,8 +422,8 @@ impl Watermarks {
 /// sharing the estimator's profile cache across workers.
 ///
 /// Each worker owns a contiguous candidate range with an atomic cursor,
-/// a private result buffer, and a private [`EstimatorScratch`] (so
-/// steady-state evaluation allocates nothing per point); exhausted
+/// a private result buffer, and a private [`EstimatorScratch`] (whose
+/// buffers are reused point to point); exhausted
 /// workers steal from the cursors of loaded neighbours, and buffers
 /// merge once at the end — no per-result lock anywhere. Results are
 /// returned in candidate order, so sweeps are deterministic regardless
@@ -443,14 +434,6 @@ impl Watermarks {
 /// evaluated incumbent (shared across workers via atomic watermarks) are
 /// skipped entirely, and the outcome is filtered to exactly the goal's
 /// winners — provably the same winners the exhaustive sweep returns.
-///
-/// Parallelism is two-level: when the candidate count is smaller than
-/// the thread budget (the `vtrain serve` shape — few points, many
-/// cores), the leftover threads split each candidate's value refill
-/// into `shards = threads / workers` deterministic chunks instead of
-/// idling. Shard splits are exact re-pricings (proven by the compact
-/// shard property tests), so output stays byte-identical to one thread.
-#[allow(clippy::too_many_arguments)]
 fn run_sweep(
     estimator: &Estimator,
     model: &ModelConfig,
@@ -458,16 +441,11 @@ fn run_sweep(
     threads: usize,
     goal: SweepGoal,
     profile: bool,
-    delta: bool,
     cancel: Option<&CancelToken>,
 ) -> SweepOutcome {
     let started = Instant::now();
     let _sweep_span = vtrain_obs::span!("sweep.run", candidates = candidates.len() as u64);
-    let requested = threads.max(1);
-    let threads = requested.min(candidates.len().max(1));
-    // Level two: threads the candidate axis cannot absorb split each
-    // candidate's refill instead of idling.
-    let shards = (requested / threads).max(1);
+    let threads = threads.max(1).min(candidates.len().max(1));
     let pruned = AtomicUsize::new(0);
     let bound_pruned = AtomicUsize::new(0);
     // First abort reason wins; 0 = running. Workers poll this (and the
@@ -490,35 +468,15 @@ fn run_sweep(
     // likely-fastest points first (more GPUs → shorter iterations in the
     // bulk of the space): the incumbent tightens immediately and the
     // slow small-GPU tail prunes instead of being evaluated. The stable
-    // sort keeps candidate order within a GPU count.
-    //
-    // Exhaustive delta sweeps instead group candidates by graph shape
-    // (stable within a group), so shape-compatible neighbors land back
-    // to back in each worker's scratch and lower as patches rather than
-    // from scratch. Either reordering only changes *visit* order:
-    // results are re-sorted by candidate index below, so the outcome is
-    // byte-identical to the unordered sweep.
+    // sort keeps candidate order within a GPU count. Reordering only
+    // changes *visit* order: results are re-sorted by candidate index
+    // below, so the outcome is byte-identical to the unordered sweep.
     let order_t0 = profile.then(Instant::now);
-    let order: Option<Vec<u32>> = match goal {
-        SweepGoal::Exhaustive => delta.then(|| {
-            let mut group_of = HashMap::new();
-            let groups: Vec<u32> = candidates
-                .iter()
-                .map(|c| {
-                    let next = group_of.len() as u32;
-                    *group_of.entry(estimator.shape_key(model, c)).or_insert(next)
-                })
-                .collect();
-            let mut idx: Vec<u32> = (0..candidates.len() as u32).collect();
-            idx.sort_by_key(|&i| groups[i as usize]);
-            idx
-        }),
-        _ => {
-            let mut idx: Vec<u32> = (0..candidates.len() as u32).collect();
-            idx.sort_by_key(|&i| std::cmp::Reverse(candidates[i as usize].num_gpus()));
-            Some(idx)
-        }
-    };
+    let order: Option<Vec<u32>> = (goal != SweepGoal::Exhaustive).then(|| {
+        let mut idx: Vec<u32> = (0..candidates.len() as u32).collect();
+        idx.sort_by_key(|&i| std::cmp::Reverse(candidates[i as usize].num_gpus()));
+        idx
+    });
     let order_ns = order_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
     let order = order.as_deref();
 
@@ -533,7 +491,6 @@ fn run_sweep(
     struct WorkerYield {
         buf: Vec<(u32, DesignPoint)>,
         cache: vtrain_profile::CacheStats,
-        delta_counts: (u64, u64),
         stages: StageNanos,
         bound_ns: u64,
     }
@@ -590,16 +547,12 @@ fn run_sweep(
                         break 'steal;
                     }
                 }
-                // Both paths run the same fused compact pipeline; the
-                // profiled variant times lower/simulate/summarize from
-                // inside it, so delta patches show up as shrunken
-                // `lower_ns` rather than a separate path.
-                let estimate = estimator.estimate_validated_delta(
+                // Profiled and plain sweeps run the same path; the
+                // profiled one times lower/simulate/summarize from inside.
+                let estimate = estimator.estimate_point(
                     model,
                     &plan,
                     &mut scratch,
-                    delta,
-                    shards,
                     profile.then_some(&mut stages),
                 );
                 if let Some(marks) = watermarks.as_ref() {
@@ -608,13 +561,7 @@ fn run_sweep(
                 buf.push((i as u32, DesignPoint { plan, estimate }));
             }
         }
-        WorkerYield {
-            buf,
-            cache: scratch.cache_stats(),
-            delta_counts: scratch.delta_counts(),
-            stages,
-            bound_ns,
-        }
+        WorkerYield { buf, cache: scratch.cache_stats(), stages, bound_ns }
     };
     // One worker needs no pool: run inline, skipping thread spawn/join
     // (this also keeps single-threaded stage profiles nearly 100%
@@ -637,16 +584,12 @@ fn run_sweep(
     let mut indexed: Vec<(u32, DesignPoint)> = Vec::new();
     let mut cache_hits = 0u64;
     let mut cache_misses = 0u64;
-    let mut delta_fresh = 0u64;
-    let mut delta_patched = 0u64;
     let mut stages = StageNanos::default();
     let mut bound_ns = 0u64;
     for worker in results {
         indexed.extend(worker.buf);
         cache_hits += worker.cache.hits;
         cache_misses += worker.cache.misses;
-        delta_fresh += worker.delta_counts.0;
-        delta_patched += worker.delta_counts.1;
         stages.merge(&worker.stages);
         bound_ns += worker.bound_ns;
     }
@@ -678,10 +621,8 @@ fn run_sweep(
         evaluated,
         cache_hits,
         cache_misses,
-        delta_fresh,
-        delta_patched,
+        delta_patched: 0,
         threads,
-        shards,
         wall_s: started.elapsed().as_secs_f64(),
     };
     if vtrain_obs::enabled() {
@@ -693,8 +634,6 @@ fn run_sweep(
         reg.counter("sweep.bound_pruned").add(stats.bound_pruned as u64);
         reg.counter("sweep.cache_hits").add(stats.cache_hits);
         reg.counter("sweep.cache_misses").add(stats.cache_misses);
-        reg.counter("lower.delta.fresh").add(stats.delta_fresh);
-        reg.counter("lower.delta.patched").add(stats.delta_patched);
         reg.histogram("sweep.wall_ms").record((stats.wall_s * 1e3) as u64);
     }
     let stage_profile = profile.then_some(StageProfile {
@@ -787,10 +726,8 @@ fn bound_only_sweep(
             evaluated,
             cache_hits: 0,
             cache_misses: 0,
-            delta_fresh: 0,
             delta_patched: 0,
             threads: 1,
-            shards: 1,
             wall_s: started.elapsed().as_secs_f64(),
         },
         stage_profile: None,
@@ -826,7 +763,6 @@ fn run_placements(
     threads: usize,
     goal: SweepGoal,
     profile: bool,
-    delta: bool,
     cancel: Option<&CancelToken>,
 ) -> Vec<PlacementSweep> {
     let mut sweeps = Vec::with_capacity(topologies.len());
@@ -839,8 +775,7 @@ fn run_placements(
             builder = builder.alpha(alpha);
         }
         let estimator = builder.build();
-        let outcome =
-            run_sweep(&estimator, model, candidates, threads, goal, profile, delta, cancel);
+        let outcome = run_sweep(&estimator, model, candidates, threads, goal, profile, cancel);
         let stop = outcome.aborted.is_some();
         sweeps.push(PlacementSweep { label: label.clone(), outcome });
         if stop {
@@ -900,7 +835,6 @@ pub struct Sweep {
     goal: SweepGoal,
     threads: Option<usize>,
     stage_profile: bool,
-    delta_lowering: bool,
     cancel: Option<CancelToken>,
     /// Shared, not owned: cloning a configured sweep (e.g. to re-run it
     /// under another goal) must not copy the candidate grid.
@@ -926,7 +860,6 @@ impl Sweep {
             goal: SweepGoal::default(),
             threads: None,
             stage_profile: false,
-            delta_lowering: true,
             cancel: None,
             candidates: None,
         }
@@ -989,24 +922,14 @@ impl Sweep {
     /// [`StageProfile`] splitting the sweep's CPU time across
     /// validate / bound / lower / simulate / summarize.
     ///
-    /// Profiled sweeps run the same fused compact pipeline as
-    /// unprofiled ones, timed from inside — results are bit-identical
-    /// and delta-patched points show up as shrunken `lower_ns`. The
-    /// only cost is the per-stage clock reads.
+    /// Profiled sweeps run the same path as unprofiled ones, timed from
+    /// inside — results are bit-identical and the only cost is the
+    /// per-stage clock reads. Under the closed-form network model
+    /// `lower` is the slot-table pricing and `simulate` the slot walk;
+    /// under fair sharing they are the full task-graph lowering and the
+    /// flow replay.
     pub fn stage_profile(mut self, enabled: bool) -> Self {
         self.stage_profile = enabled;
-        self
-    }
-
-    /// Enables or disables delta-lowering (default on): with it on,
-    /// exhaustive sweeps visit candidates grouped by graph shape and
-    /// each worker patches only the changed values of its previously
-    /// lowered graph when the shape matches, instead of rebuilding the
-    /// structure per point. Results are bit-identical either way
-    /// (proven by the delta A/B property tests); turn it off only to
-    /// measure or gate that equivalence.
-    pub fn delta_lowering(mut self, enabled: bool) -> Self {
-        self.delta_lowering = enabled;
         self
     }
 
@@ -1045,9 +968,9 @@ impl Sweep {
     /// Selects the network-cost regime every evaluated point runs
     /// under (default [`NetworkBackend::ClosedForm`]). Under
     /// [`NetworkBackend::FairSharing`] each point is priced by the
-    /// physical-time contention replay; the compact delta-lowering fast
-    /// path only applies to the closed form, so expect fair-sharing
-    /// sweeps to cost full lowering per point.
+    /// physical-time contention replay; the slot walk only applies to the
+    /// closed form, so expect fair-sharing sweeps to cost a full task-graph
+    /// lowering per point.
     pub fn network(mut self, network: NetworkBackend) -> Self {
         self.network = network;
         self
@@ -1109,7 +1032,6 @@ impl Sweep {
                 threads,
                 self.goal,
                 self.stage_profile,
-                self.delta_lowering,
                 self.cancel.as_ref(),
             );
             vec![PlacementSweep { label: String::new(), outcome }]
@@ -1125,7 +1047,6 @@ impl Sweep {
                 threads,
                 self.goal,
                 self.stage_profile,
-                self.delta_lowering,
                 self.cancel.as_ref(),
             )
         };
@@ -1426,47 +1347,35 @@ mod tests {
     }
 
     #[test]
-    fn delta_lowering_is_bit_identical_and_actually_patches() {
+    fn sweep_points_match_the_graph_path_bit_for_bit() {
+        // The sweep prices points with the slot walk; every point must
+        // equal the full lowering + Predicted replay, summarized.
         let cluster = ClusterSpec::aws_p4d(32);
         let model = presets::megatron("1.7B");
         let limits =
             SearchLimits { max_tensor: 4, max_data: 8, max_pipeline: 4, max_micro_batch: 4 };
-        let cands = enumerate_candidates(&model, &cluster, 32, PipelineSchedule::OneFOneB, &limits);
-        let run = |delta: bool| {
-            Sweep::over(&model, &cluster)
-                .candidates(cands.clone())
-                .threads(1)
-                .delta_lowering(delta)
-                .run()
-                .into_outcome()
-        };
-        let fresh = run(false);
-        let patched = run(true);
-        assert_eq!(fresh.stats.delta_patched, 0, "delta off must never patch");
-        assert_eq!(fresh.stats.delta_fresh as usize, fresh.stats.evaluated);
-        assert!(
-            patched.stats.delta_patched > 0,
-            "shape-grouped visit order must produce patches on a {}-point grid",
-            patched.stats.evaluated
-        );
-        assert_eq!(
-            patched.stats.delta_fresh + patched.stats.delta_patched,
-            patched.stats.evaluated as u64
-        );
-        // Patching must not change a single bit of any estimate, nor the
-        // candidate-order output contract.
-        assert_eq!(fresh.points.len(), patched.points.len());
-        for (a, b) in fresh.points.iter().zip(&patched.points) {
-            assert_eq!(a.plan, b.plan);
-            assert_eq!(a.estimate.iteration_time, b.estimate.iteration_time);
-            assert_eq!(a.estimate.utilization.to_bits(), b.estimate.utilization.to_bits());
-            assert_eq!(a.estimate.occupancy.to_bits(), b.estimate.occupancy.to_bits());
-            assert_eq!(a.estimate.busy, b.estimate.busy);
+        let estimator = Estimator::builder(cluster.clone()).build();
+        let mut cands = Vec::new();
+        for schedule in [PipelineSchedule::OneFOneB, PipelineSchedule::GPipe] {
+            cands.extend(enumerate_candidates(&model, &cluster, 32, schedule, &limits));
+        }
+        let outcome =
+            Sweep::on(&estimator, &model).candidates(cands).threads(1).run().into_outcome();
+        assert!(outcome.points.len() > 20, "grid must have feasible points");
+        assert_eq!(outcome.stats.delta_patched, 0, "nothing is patched any more");
+        for point in &outcome.points {
+            let tg = estimator.lower(&model, &point.plan);
+            let report = estimator.simulate(&tg, crate::SimMode::Predicted);
+            let graph = estimator.summarize(&model, &point.plan, &report);
+            assert_eq!(point.estimate.iteration_time, graph.iteration_time, "{}", point.plan);
+            assert_eq!(point.estimate.busy, graph.busy, "{}", point.plan);
+            assert_eq!(point.estimate.utilization.to_bits(), graph.utilization.to_bits());
+            assert_eq!(point.estimate.occupancy.to_bits(), graph.occupancy.to_bits());
         }
     }
 
     #[test]
-    fn two_level_split_shards_small_grids_without_changing_output() {
+    fn small_grids_on_many_threads_match_one_thread() {
         let cluster = ClusterSpec::aws_p4d(16);
         let model = presets::megatron("1.7B");
         let plan = |t: usize, d: usize, p: usize| {
@@ -1482,17 +1391,11 @@ mod tests {
         let cands = vec![plan(1, 2, 2), plan(2, 2, 2), plan(2, 4, 1)];
         let serial =
             Sweep::over(&model, &cluster).candidates(cands.clone()).threads(1).run().into_outcome();
-        let sharded =
-            Sweep::over(&model, &cluster).candidates(cands).threads(16).run().into_outcome();
-        assert_eq!(serial.stats.shards, 1);
-        assert!(
-            sharded.stats.shards > 1,
-            "{} candidates on 16 threads must shard refills",
-            sharded.stats.candidates
-        );
-        assert_eq!(sharded.stats.threads, sharded.stats.candidates);
-        assert_eq!(serial.points.len(), sharded.points.len());
-        for (a, b) in serial.points.iter().zip(&sharded.points) {
+        let wide = Sweep::over(&model, &cluster).candidates(cands).threads(16).run().into_outcome();
+        // Threads beyond the candidate count would only idle.
+        assert_eq!(wide.stats.threads, wide.stats.candidates);
+        assert_eq!(serial.points.len(), wide.points.len());
+        for (a, b) in serial.points.iter().zip(&wide.points) {
             assert_eq!(a.plan, b.plan);
             assert_eq!(a.estimate.iteration_time, b.estimate.iteration_time);
             assert_eq!(a.estimate.utilization.to_bits(), b.estimate.utilization.to_bits());
@@ -1597,6 +1500,32 @@ mod tests {
             "stage attribution covers only {:.1}% of the wall clock",
             profile.attributed_fraction() * 100.0
         );
+    }
+
+    #[test]
+    fn fair_sharing_sweeps_attribute_their_cache_traffic() {
+        // The fair-sharing branch lowers the full task graph; its profile
+        // lookups must land in the sweep's tally like the slot walk's do.
+        let cluster = ClusterSpec::aws_p4d(32);
+        let model = presets::megatron("1.7B");
+        let limits =
+            SearchLimits { max_tensor: 4, max_data: 4, max_pipeline: 2, max_micro_batch: 2 };
+        let cache = Arc::new(ProfileCache::new());
+        let before = cache.stats();
+        let outcome = Sweep::over(&model, &cluster)
+            .batch(16)
+            .limits(limits)
+            .network(NetworkBackend::FairSharing)
+            .cache(Arc::clone(&cache))
+            .threads(2)
+            .run()
+            .into_outcome();
+        let delta = cache.stats().since(&before);
+        let s = outcome.stats;
+        assert!(s.evaluated > 0);
+        assert_eq!(s.cache_hits + s.cache_misses, delta.hits + delta.misses);
+        assert_eq!((s.cache_hits, s.cache_misses), (delta.hits, delta.misses));
+        assert!(s.cache_hit_rate() > 0.5, "hit rate {:.3}", s.cache_hit_rate());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::collections::HashSet;
 
 use vtrain_model::{Bytes, ModelConfig, TimeNs};
 use vtrain_net::{GroupPlacement, TierSpec, Topology};
-use vtrain_parallel::{layer_partition, ParallelConfig, Pass, ProcessGroups, StageSlot};
+use vtrain_parallel::{layer_partition, ParallelConfig, Pass, ProcessGroups};
 
 use crate::graph::{OpGraph, OpNode, StreamKind};
 use crate::ops::{CommKind, CommOp, CommScope, CompKind, ComputeOp, Op, OpSignature};
@@ -24,111 +24,12 @@ pub trait GraphSink {
     /// this node. The builder routes every node through this method;
     /// sinks that don't track slots inherit the default, which forwards
     /// to `push`.
-    ///
-    /// Slot ids are *structural*: two plans with equal
-    /// [`plan_shape_key`]s assign the same slot to the node at the same
-    /// index, which is what licenses delta-lowering (re-pricing a cached
-    /// graph by refreshing slot values only).
     fn push_slotted(&mut self, node: OpNode, slot: u32) -> u32 {
         let _ = slot;
         self.push(node)
     }
     /// Adds a dependency edge `from → to` between already-pushed nodes.
     fn add_edge(&mut self, from: u32, to: u32);
-    /// Marks a chain-aggregation boundary on `device`'s compute stream.
-    ///
-    /// The builder guarantees that between two consecutive `cut` calls the
-    /// compute-stream nodes of `device` form a pure program-order chain:
-    /// no node other than the first receives an edge from outside the
-    /// chain, and no node other than the last (at the moment the edge is
-    /// added) sources an edge to outside it. Sinks that aggregate chains
-    /// into single tasks (the sweep's compact replay) close their open run
-    /// here; graph-materializing sinks ignore it.
-    fn cut(&mut self, device: u32) {
-        let _ = device;
-    }
-    /// Bulk emission of `pattern` repeated `repeat` times on `device`'s
-    /// compute stream — the builder's layer-loop fast path. Returns the
-    /// first node's index.
-    ///
-    /// The default expands to exactly the per-node calls the builder
-    /// would otherwise make: each node goes through [`push_slotted`] and
-    /// is chained after its predecessor (starting from `prev`, the last
-    /// compute-stream node of `device`, if any) with [`add_edge`] — so
-    /// graph-materializing sinks see an unchanged node/edge sequence.
-    /// Aggregating sinks may instead account for the whole block in
-    /// `O(pattern.len())`, provided they consume exactly
-    /// `pattern.len() * repeat` node indices and treat the implied
-    /// program-order chain as internal.
-    ///
-    /// `pattern` must be non-empty and `repeat >= 1`; the builder never
-    /// issues empty blocks.
-    ///
-    /// [`push_slotted`]: GraphSink::push_slotted
-    /// [`add_edge`]: GraphSink::add_edge
-    fn push_chain(
-        &mut self,
-        device: u32,
-        prev: Option<u32>,
-        pattern: &[ChainOp],
-        repeat: u32,
-    ) -> u32 {
-        let mut prev = prev;
-        let mut first = None;
-        for _ in 0..repeat {
-            for item in pattern {
-                let id = self.push_slotted(
-                    OpNode { device, stream: StreamKind::Compute, op: item.op },
-                    item.slot,
-                );
-                if first.is_none() {
-                    first = Some(id);
-                }
-                if let Some(p) = prev {
-                    self.add_edge(p, id);
-                }
-                prev = Some(id);
-            }
-        }
-        first.expect("chain patterns emit at least one node")
-    }
-    /// Offers the sink a *block replication*: everything emitted since
-    /// node `start_node` — a cut-aligned, single-device window of whole
-    /// schedule slots — repeats `copies` more times with identical
-    /// structure. A sink that accepts returns `true` and must behave as
-    /// if the block's nodes, intra-block edges, and cut boundaries were
-    /// re-emitted with all node indices shifted by the block's node count
-    /// per copy; the builder then accounts for the copies arithmetically
-    /// (records, program-order chain edges *into* each copy, id
-    /// bookkeeping) and emits nothing further for them. A sink that
-    /// returns `false` (the default) receives the copies as ordinary
-    /// per-slot emission instead — graph-materializing sinks stay
-    /// unchanged.
-    fn replicate_block(&mut self, start_node: u32, copies: u32) -> bool {
-        let _ = (start_node, copies);
-        false
-    }
-
-    /// Adds `count` dependency edges forming an arithmetic *train*: edge
-    /// `i` connects `from + i * from_stride → to + i * to_stride`.
-    /// Equivalent to the corresponding [`GraphSink::add_edge`] loop (the
-    /// default); aggregating sinks may resolve the endpoints by stride
-    /// when the train stays inside replicated block regions.
-    fn add_edge_train(&mut self, from: u32, from_stride: u32, to: u32, to_stride: u32, count: u32) {
-        for i in 0..count {
-            self.add_edge(from + i * from_stride, to + i * to_stride);
-        }
-    }
-}
-
-/// One operator of a repeated compute-stream emission pattern (see
-/// [`GraphSink::push_chain`]).
-#[derive(Clone, Copy, Debug)]
-pub struct ChainOp {
-    /// The operator each repetition emits.
-    pub op: Op,
-    /// Its latency slot (see [`GraphSink::push_slotted`]).
-    pub slot: u32,
 }
 
 impl GraphSink for OpGraph {
@@ -261,22 +162,65 @@ pub enum SlotOp {
     Comm(CommOp),
 }
 
-/// Number of fixed layer/vocab compute slots heading every enumeration.
-const FIXED_COMP_SLOTS: u32 = 8;
+/// Where each latency source of a plan sits in its canonical slot
+/// enumeration ([`visit_plan_slots`]) — the one numbering the builder
+/// stamps on nodes and slot-table consumers index by.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SlotIndex {
+    pipeline: u32,
+    tensor_parallel: bool,
+}
 
-/// Slot index of a fixed layer/vocab compute kind (canonical order; the
-/// per-stage `WeightUpdate` slots follow at `8 + stage`).
-fn fixed_comp_slot(kind: CompKind) -> u32 {
-    match kind {
-        CompKind::EmbeddingFwd => 0,
-        CompKind::LmHeadFwd => 1,
-        CompKind::MhaFwd => 2,
-        CompKind::FfnFwd => 3,
-        CompKind::EmbeddingBwd => 4,
-        CompKind::LmHeadBwd => 5,
-        CompKind::MhaBwd => 6,
-        CompKind::FfnBwd => 7,
-        CompKind::WeightUpdate => unreachable!("weight updates use per-stage slots"),
+impl SlotIndex {
+    /// Number of fixed layer/vocab compute slots heading every
+    /// enumeration.
+    const FIXED_COMPUTE: u32 = 8;
+
+    /// The slot numbering of `plan`.
+    pub fn of(plan: &ParallelConfig) -> SlotIndex {
+        SlotIndex { pipeline: plan.pipeline() as u32, tensor_parallel: plan.tensor() > 1 }
+    }
+
+    /// Slot of a fixed layer/vocab compute kind.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`CompKind::WeightUpdate`], whose slots are per stage
+    /// ([`SlotIndex::weight_update`]).
+    pub fn compute(kind: CompKind) -> u32 {
+        match kind {
+            CompKind::EmbeddingFwd => 0,
+            CompKind::LmHeadFwd => 1,
+            CompKind::MhaFwd => 2,
+            CompKind::FfnFwd => 3,
+            CompKind::EmbeddingBwd => 4,
+            CompKind::LmHeadBwd => 5,
+            CompKind::MhaBwd => 6,
+            CompKind::FfnBwd => 7,
+            CompKind::WeightUpdate => panic!("weight updates use per-stage slots"),
+        }
+    }
+
+    /// Slot of `stage`'s weight update.
+    pub fn weight_update(self, stage: usize) -> u32 {
+        Self::FIXED_COMPUTE + stage as u32
+    }
+
+    /// Slot of the TP All-Reduce, `None` when `t == 1`.
+    pub fn tp_all_reduce(self) -> Option<u32> {
+        self.tensor_parallel.then_some(Self::FIXED_COMPUTE + self.pipeline)
+    }
+
+    /// Slot of the pipeline send crossing `boundary` (between stages
+    /// `boundary` and `boundary + 1`).
+    pub fn send(self, boundary: usize) -> u32 {
+        Self::FIXED_COMPUTE + self.pipeline + u32::from(self.tensor_parallel) + boundary as u32
+    }
+
+    /// Slot of the plan's first DP gradient All-Reduce; the rest follow
+    /// consecutively in [`visit_dp_buckets`] order.
+    pub fn first_dp(self) -> u32 {
+        self.send(self.pipeline.saturating_sub(1) as usize)
     }
 }
 
@@ -285,20 +229,16 @@ fn fixed_comp_slot(kind: CompKind) -> u32 {
 ///
 /// A *slot* is one distinct latency source of the lowered graph: every
 /// node the builder emits carries a slot id (via
-/// [`GraphSink::push_slotted`]) that indexes into this enumeration, and
-/// two plans with equal [`plan_shape_key`]s assign identical slot ids to
-/// positionally corresponding nodes. Re-pricing a cached graph for a new
-/// plan therefore only requires re-running this enumeration — the basis
-/// of delta-lowering across design-grid neighbors.
+/// [`GraphSink::push_slotted`]) that indexes into this enumeration, so
+/// pricing a plan only needs this enumeration, never the graph.
 ///
-/// Canonical order (`p = plan.pipeline()`):
-/// 1. the 8 fixed layer/vocab compute kinds (`fixed_comp_slot` order),
+/// Canonical order ([`SlotIndex`], `p = plan.pipeline()`):
+/// 1. the 8 fixed layer/vocab compute kinds ([`SlotIndex::compute`]),
 /// 2. `p` per-stage `WeightUpdate` signatures,
 /// 3. the TP All-Reduce (only when `t > 1`),
 /// 4. `p - 1` pipeline sends, by boundary,
-/// 5. per-stage DP gradient All-Reduces in emission order (only when
-///    `d > 1`; one per stage unbucketed, the `DpBuckets` sequence
-///    otherwise).
+/// 5. the DP gradient All-Reduces in [`visit_dp_buckets`] order (only
+///    when `d > 1`).
 ///
 /// # Panics
 ///
@@ -331,67 +271,63 @@ pub fn visit_plan_slots<F: FnMut(SlotOp)>(
     for boundary in 0..p.saturating_sub(1) {
         f(SlotOp::Comm(comms.pp_send(plan, boundary)));
     }
-    if plan.data() > 1 {
-        for (stage, layers) in partition.iter().enumerate() {
-            if plan.gradient_bucketing() {
-                for (_, bytes) in DpBuckets::new(model, plan, opts, &sigs, stage, layers.len()) {
-                    f(SlotOp::Comm(comms.dp_all_reduce(bytes)));
-                }
-            } else {
-                let bytes = unbucketed_dp_bytes(model, plan, opts, stage, layers.len());
-                f(SlotOp::Comm(comms.dp_all_reduce(bytes)));
-            }
-        }
-    }
+    visit_dp_buckets(model, plan, opts, |bucket| {
+        f(SlotOp::Comm(comms.dp_all_reduce(bucket.bytes)));
+    });
 }
 
-/// The structural fingerprint of a lowered graph: two `(model, plan)`
-/// pairs with equal keys (under the same [`GraphOptions`]) produce graphs
-/// with identical node counts, edge lists, slot assignments, and
-/// chain-aggregation cuts — only the slot *values* differ. This is the
-/// applicability test for delta-lowering.
+/// One DP gradient All-Reduce of a pipeline stage.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DpBucket {
+    /// The stage whose gradients the All-Reduce synchronizes.
+    pub stage: usize,
+    /// The shallowest local layer of the bucket. The All-Reduce waits
+    /// until the stage's final backward slot has finished that layer;
+    /// with `lo == 0` it waits for the whole final backward slot
+    /// (embedding backward included on stage 0).
+    pub lo: usize,
+    /// Gradient payload per rank.
+    pub bytes: Bytes,
+    /// Latency slot ([`visit_plan_slots`]).
+    pub slot: u32,
+}
+
+/// Visits the plan's DP gradient All-Reduces stage-major, each stage's in
+/// emission order, with their latency slots: the one definition of bucket
+/// geometry and DP slot numbering the builder, [`visit_plan_slots`] and
+/// slot-table consumers share.
 ///
-/// The key captures exactly what the builder's emission structure reads:
-/// the layer partition (`num_layers`, `pipeline`), the per-stage program
-/// (`schedule`, `n_micro`), whether TP/DP operators exist at all, and the
-/// DP bucket geometry (`per_bucket` layers per bucket, which depends on
-/// the gradient bytes per layer and hence on `t`). Everything else —
-/// micro-batch size, hidden dims, topology tiers — only moves slot
-/// values, which delta-lowering re-prices anyway.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct PlanShapeKey {
-    num_layers: usize,
-    pipeline: usize,
-    schedule: vtrain_parallel::PipelineSchedule,
-    n_micro: usize,
-    tensor_parallel: bool,
-    data_parallel: bool,
-    /// Layers per DP gradient bucket; 0 when DP sync is absent or
-    /// unbucketed (a single per-stage All-Reduce either way).
-    per_bucket: usize,
-}
-
-/// Computes the [`PlanShapeKey`] of `(model, plan)` in O(1).
-pub fn plan_shape_key(
+/// Nothing is visited when `d == 1`. Under gradient bucketing a stage
+/// yields its bucket sequence (deepest layers first); without it, one
+/// All-Reduce over all of the stage's gradients (`lo == 0`, Fig. 5(b)).
+///
+/// # Panics
+///
+/// Same conditions as [`visit_plan_slots`].
+pub fn visit_dp_buckets<F: FnMut(DpBucket)>(
     model: &ModelConfig,
     plan: &ParallelConfig,
     opts: &GraphOptions,
-) -> PlanShapeKey {
-    let bucketed = plan.data() > 1 && plan.gradient_bucketing();
-    let per_bucket = if bucketed {
-        let grad_bytes_per_layer = 2 * model.params_per_layer() / plan.tensor() as u64;
-        (opts.dp_bucket_bytes.as_u64() / grad_bytes_per_layer.max(1)).max(1) as usize
-    } else {
-        0
-    };
-    PlanShapeKey {
-        num_layers: model.num_layers(),
-        pipeline: plan.pipeline(),
-        schedule: plan.schedule(),
-        n_micro: plan.num_micro_batches(),
-        tensor_parallel: plan.tensor() > 1,
-        data_parallel: plan.data() > 1,
-        per_bucket,
+    mut f: F,
+) {
+    if plan.data() == 1 {
+        return;
+    }
+    let sigs = SigFactory { model, plan, opts };
+    let mut slot = SlotIndex::of(plan).first_dp();
+    let partition = layer_partition(model.num_layers(), plan.pipeline());
+    for (stage, layers) in partition.iter().enumerate() {
+        let mut emit = |lo: usize, bytes: Bytes| {
+            f(DpBucket { stage, lo, bytes, slot });
+            slot += 1;
+        };
+        if plan.gradient_bucketing() {
+            for (lo, bytes) in DpBuckets::new(model, plan, opts, &sigs, stage, layers.len()) {
+                emit(lo, bytes);
+            }
+        } else {
+            emit(0, unbucketed_dp_bytes(model, plan, opts, stage, layers.len()));
+        }
     }
 }
 
@@ -669,72 +605,28 @@ fn stage_params_with_layers(
     params
 }
 
-/// Finds the maximal repeated slot block starting at `i`: returns
-/// `(w, k)` such that slots `[i, i + k·w)` are `k` repetitions of a
-/// `w`-slot pattern, compared by pass alone (two same-pass slots emit
-/// identical structure — the micro-batch index only affects record
-/// bookkeeping), capped so the block never reaches `last_bwd` (the final
-/// backward slot emits differently). `k < 2` means no usable repetition.
-fn repeat_block(program: &[StageSlot], i: usize, last_bwd: Option<usize>) -> (usize, usize) {
-    for w in [1usize, 2] {
-        if i + 2 * w > program.len() {
-            break;
-        }
-        let mut k = 1;
-        while i + (k + 1) * w <= program.len()
-            && (0..w).all(|j| program[i + k * w + j].pass == program[i + j].pass)
-        {
-            k += 1;
-        }
-        if let Some(x) = last_bwd {
-            if x >= i {
-                k = k.min((x - i) / w);
-            }
-        }
-        if k >= 2 {
-            return (w, k);
-        }
-    }
-    (1, 1)
-}
-
 struct Builder<'a, S: GraphSink> {
     model: &'a ModelConfig,
     plan: &'a ParallelConfig,
-    opts: &'a GraphOptions,
     sigs: SigFactory<'a>,
     sink: &'a mut S,
+    slots: SlotIndex,
     /// Shared communication-operator constructor (placement geometry
     /// computed once, not per node).
     comms: CommFactory,
     /// Precomputed pipeline sends, indexed by boundary (`p - 1` entries).
     pp_sends: Vec<CommOp>,
-    /// Precomputed backward layer signatures for the final backward
-    /// slot's per-layer emission (all other layer loops go through the
-    /// chain patterns below).
-    sig_mha_bwd: OpSignature,
-    sig_ffn_bwd: OpSignature,
     /// The per-layer forward/backward emission patterns
-    /// (`[Mha, TpAR?, Ffn, TpAR?]` and `[FfnBwd, TpAR?, MhaBwd, TpAR?]`),
-    /// precomputed so slot bodies emit whole layer loops as one
-    /// [`GraphSink::push_chain`] block.
-    fwd_chain: Vec<ChainOp>,
-    bwd_chain: Vec<ChainOp>,
+    /// (`[Mha, TpAR?, Ffn, TpAR?]` and `[FfnBwd, TpAR?, MhaBwd, TpAR?]`
+    /// with their latency slots), precomputed so layer loops build no
+    /// signatures.
+    fwd_layer: Vec<(Op, u32)>,
+    bwd_layer: Vec<(Op, u32)>,
+    /// The plan's DP All-Reduces, stage-major ([`visit_dp_buckets`]).
+    dp_buckets: Vec<DpBucket>,
     /// Last node per (device, stream) for program-order chaining.
     last_compute: Vec<Option<u32>>,
     last_comm: Vec<Option<u32>>,
-    /// Mirror of the sink's node counter (sinks hand out dense indices
-    /// from 0), letting the builder do id arithmetic for replicated
-    /// blocks without asking the sink.
-    next_node: u32,
-    /// Latency-slot ids (see [`visit_plan_slots`]): the TP All-Reduce
-    /// slot (meaningful only when `t > 1`), the first pipeline-send slot
-    /// (boundary 0), and the next DP All-Reduce slot to hand out (DP
-    /// slots are consumed in emission order, which `build`'s
-    /// stage-major walk makes identical to enumeration order).
-    slot_tp: u32,
-    slot_send_base: u32,
-    next_dp_slot: u32,
 }
 
 /// Per-stage bookkeeping for cross-stage edges.
@@ -769,44 +661,35 @@ impl<'a, S: GraphSink> Builder<'a, S> {
         let comms = CommFactory::new(model, plan, opts);
         let pp_sends = (0..p.saturating_sub(1)).map(|b| comms.pp_send(plan, b)).collect();
         let sigs = SigFactory { model, plan, opts };
-        let slot_tp = FIXED_COMP_SLOTS + p as u32;
-        let slot_send_base = slot_tp + (plan.tensor() > 1) as u32;
-        let next_dp_slot = slot_send_base + p.saturating_sub(1) as u32;
-        let layer_chain = |a: OpSignature, b: OpSignature| {
-            let mut chain = Vec::with_capacity(4);
-            for sig in [a, b] {
-                chain.push(ChainOp {
-                    op: Op::Compute(ComputeOp { sig }),
-                    slot: fixed_comp_slot(sig.kind),
-                });
-                if let Some(tp) = comms.tp_all_reduce {
-                    chain.push(ChainOp { op: Op::Comm(tp), slot: slot_tp });
+        let slots = SlotIndex::of(plan);
+        let layer_pattern = |a: CompKind, b: CompKind| {
+            let mut pattern = Vec::with_capacity(4);
+            for kind in [a, b] {
+                let sig = sigs.layer(kind);
+                pattern.push((Op::Compute(ComputeOp { sig }), SlotIndex::compute(kind)));
+                if let (Some(tp), Some(slot)) = (comms.tp_all_reduce, slots.tp_all_reduce()) {
+                    pattern.push((Op::Comm(tp), slot));
                 }
             }
-            chain
+            pattern
         };
-        let sig_mha_fwd = sigs.layer(CompKind::MhaFwd);
-        let sig_ffn_fwd = sigs.layer(CompKind::FfnFwd);
-        let sig_mha_bwd = sigs.layer(CompKind::MhaBwd);
-        let sig_ffn_bwd = sigs.layer(CompKind::FfnBwd);
+        let fwd_layer = layer_pattern(CompKind::MhaFwd, CompKind::FfnFwd);
+        let bwd_layer = layer_pattern(CompKind::FfnBwd, CompKind::MhaBwd);
+        let mut dp_buckets = Vec::new();
+        visit_dp_buckets(model, plan, opts, |bucket| dp_buckets.push(bucket));
         Builder {
             model,
             plan,
-            opts,
-            sig_mha_bwd,
-            sig_ffn_bwd,
-            fwd_chain: layer_chain(sig_mha_fwd, sig_ffn_fwd),
-            bwd_chain: layer_chain(sig_ffn_bwd, sig_mha_bwd),
             sigs,
             sink,
+            slots,
             comms,
             pp_sends,
+            fwd_layer,
+            bwd_layer,
+            dp_buckets,
             last_compute: vec![None; p],
             last_comm: vec![None; p],
-            next_node: 0,
-            slot_tp,
-            slot_send_base,
-            next_dp_slot,
         }
     }
 
@@ -816,8 +699,6 @@ impl<'a, S: GraphSink> Builder<'a, S> {
     fn emit(&mut self, device: usize, stream: StreamKind, op: Op, latency_slot: u32) -> u32 {
         let idx =
             self.sink.push_slotted(OpNode { device: device as u32, stream, op }, latency_slot);
-        debug_assert_eq!(idx, self.next_node, "sink indices must be dense");
-        self.next_node = idx + 1;
         let slot = match stream {
             StreamKind::Compute => &mut self.last_compute[device],
             StreamKind::Comm => &mut self.last_comm[device],
@@ -828,59 +709,36 @@ impl<'a, S: GraphSink> Builder<'a, S> {
         idx
     }
 
-    fn vocab_sig(&self, kind: CompKind) -> OpSignature {
-        self.sigs.vocab(kind)
-    }
-
-    fn weight_update_sig(&self, params: u64) -> OpSignature {
-        self.sigs.weight_update(params)
-    }
-
     /// Emits a fixed layer/vocab compute node (slot from the kind).
     fn compute(&mut self, device: usize, sig: OpSignature) -> u32 {
-        let slot = fixed_comp_slot(sig.kind);
+        let slot = SlotIndex::compute(sig.kind);
         self.emit(device, StreamKind::Compute, Op::Compute(ComputeOp { sig }), slot)
     }
 
-    /// Emits one of the precomputed per-layer patterns `repeat` times as a
-    /// single [`GraphSink::push_chain`] block, chained after the device's
-    /// previous compute-stream node. Returns the first node; `repeat` must
-    /// be at least 1.
-    fn compute_chain(&mut self, device: usize, backward: bool, repeat: usize) -> u32 {
-        let pattern = if backward { &self.bwd_chain } else { &self.fwd_chain };
-        let prev = self.last_compute[device];
-        let first = self.sink.push_chain(device as u32, prev, pattern, repeat as u32);
-        debug_assert_eq!(first, self.next_node, "sink indices must be dense");
-        let last = first + (pattern.len() * repeat) as u32 - 1;
-        self.next_node = last + 1;
-        self.last_compute[device] = Some(last);
-        first
-    }
-
-    /// TP All-Reduce node on the compute stream (sequential dependency with
-    /// the surrounding blocks, Fig. 6). No-op when `t == 1`.
-    fn tp_all_reduce(&mut self, device: usize) -> Option<u32> {
-        let op = self.comms.tp_all_reduce?;
-        let slot = self.slot_tp;
-        Some(self.emit(device, StreamKind::Compute, Op::Comm(op), slot))
+    /// Emits one layer's forward or backward pattern on the compute
+    /// stream, chained like [`Builder::emit`] does; returns `(first node,
+    /// last node)`.
+    fn layer(&mut self, device: usize, backward: bool) -> (u32, u32) {
+        let pattern = if backward { &self.bwd_layer } else { &self.fwd_layer };
+        let mut prev = self.last_compute[device];
+        let mut first = None;
+        for &(op, slot) in pattern {
+            let node = OpNode { device: device as u32, stream: StreamKind::Compute, op };
+            let idx = self.sink.push_slotted(node, slot);
+            if let Some(p) = prev {
+                self.sink.add_edge(p, idx);
+            }
+            first.get_or_insert(idx);
+            prev = Some(idx);
+        }
+        self.last_compute[device] = prev;
+        first.zip(prev).expect("layer patterns are non-empty")
     }
 
     fn pp_send(&mut self, device: usize, boundary: usize) -> u32 {
         let op = self.pp_sends[boundary];
-        let slot = self.slot_send_base + boundary as u32;
+        let slot = self.slots.send(boundary);
         self.emit(device, StreamKind::Comm, Op::Comm(op), slot)
-    }
-
-    /// DP gradient All-Reduce over `bytes` of this rank's gradients.
-    fn dp_all_reduce(&mut self, device: usize, bytes: Bytes) -> u32 {
-        let op = self.comms.dp_all_reduce(bytes);
-        let slot = self.next_dp_slot;
-        self.next_dp_slot += 1;
-        self.emit(device, StreamKind::Comm, Op::Comm(op), slot)
-    }
-
-    fn stage_local_params(&self, stage: usize, num_layers_here: usize) -> u64 {
-        self.sigs.stage_local_params(stage, num_layers_here)
     }
 
     fn build(mut self) {
@@ -898,204 +756,45 @@ impl<'a, S: GraphSink> Builder<'a, S> {
             })
             .collect();
 
-        // Pass 1: per-stage programs with intra-stage edges. Pipeline
-        // schedules are periodic — most of a stage's program is a short
-        // slot block repeated per micro-batch (1F1B's steady-state
-        // forward/backward pair, GPipe's forward and backward trains) —
-        // and two slots of the same pass emit identical structure: the
-        // micro-batch index only lands in the records. Each maximal
-        // repetition is emitted once and offered to the sink as a block
-        // replication; sinks that decline receive the remaining copies
-        // as ordinary per-slot emission.
+        // Pass 1: per-stage programs with intra-stage edges.
         for stage in 0..p {
             let layers_here = partition[stage].len();
-            let program = self.plan.schedule().stage_program(stage, p, n_micro);
-            // The final backward slot emits differently (per-layer
-            // gradient anchors and cuts), so no block may cover it.
-            let last_bwd = program.iter().rposition(|s| s.pass == Pass::Backward);
+            let record = &mut records[stage];
             let mut bwd_seen = 0usize;
-            let mut i = 0usize;
-            while i < program.len() {
-                let (w, k) = repeat_block(&program, i, last_bwd);
-                if k < 2 {
-                    self.emit_slot(
-                        stage,
-                        &program[i],
-                        layers_here,
-                        p,
-                        &mut bwd_seen,
-                        &mut records[stage],
-                    );
-                    i += 1;
-                    continue;
-                }
-                let block_first = self.next_node;
-                let mut outputs = [(0u32, None); 2];
-                for (j, out) in outputs.iter_mut().enumerate().take(w) {
-                    *out = self.emit_slot(
-                        stage,
-                        &program[i + j],
-                        layers_here,
-                        p,
-                        &mut bwd_seen,
-                        &mut records[stage],
-                    );
-                }
-                let stride = self.next_node - block_first;
-                if self.sink.replicate_block(block_first, (k - 1) as u32) {
-                    self.skip_replicated_slots(
-                        stage,
-                        &program[i..i + k * w],
-                        w,
-                        block_first,
-                        stride,
-                        &outputs[..w],
-                        &mut bwd_seen,
-                        &mut records[stage],
-                    );
-                } else {
-                    for j in w..k * w {
-                        self.emit_slot(
-                            stage,
-                            &program[i + j],
-                            layers_here,
-                            p,
-                            &mut bwd_seen,
-                            &mut records[stage],
-                        );
-                    }
-                }
-                i += k * w;
-            }
-            self.emit_gradient_sync_and_update(stage, layers_here, &mut records[stage]);
-        }
-
-        // Pass 2: cross-stage pipeline edges (same micro-batch precedence,
-        // Fig. 7 / §III-B). Within replicated schedule regions both
-        // endpoints advance by constant node strides across micro-batches,
-        // so the per-pair loops chunk into maximal arithmetic edge trains.
-        for stage in 1..p {
-            self.cross_stage_trains(&records[stage - 1].fwd_send, &records[stage].fwd_first);
-        }
-        for stage in 0..p.saturating_sub(1) {
-            self.cross_stage_trains(&records[stage + 1].bwd_send, &records[stage].bwd_first);
-        }
-    }
-
-    /// Emits the per-micro-batch `send → first` edges of one stage
-    /// boundary, grouping maximal constant-stride spans into
-    /// [`GraphSink::add_edge_train`] calls.
-    fn cross_stage_trains(&mut self, sends: &[Option<u32>], firsts: &[Option<u32>]) {
-        let at = |v: &[Option<u32>], i: usize| v[i].expect("cross-stage endpoint exists");
-        let mut i = 0usize;
-        while i < sends.len() {
-            let (from, to) = (at(sends, i), at(firsts, i));
-            let mut len = 1u32;
-            if i + 1 < sends.len() {
-                let (f1, t1) = (at(sends, i + 1), at(firsts, i + 1));
-                if f1 > from && t1 > to {
-                    let (df, dt) = (f1 - from, t1 - to);
-                    len = 2;
-                    while i + (len as usize) < sends.len()
-                        && sends[i + len as usize] == Some(from + df * len)
-                        && firsts[i + len as usize] == Some(to + dt * len)
-                    {
-                        len += 1;
-                    }
-                    self.sink.add_edge_train(from, df, to, dt, len);
-                }
-            }
-            if len == 1 {
-                self.sink.add_edge(from, to);
-            }
-            i += len as usize;
-        }
-    }
-
-    /// Emits one schedule slot (with its aggregation cut) and records its
-    /// endpoints; returns `(first node, optional send)`.
-    fn emit_slot(
-        &mut self,
-        stage: usize,
-        slot: &StageSlot,
-        layers_here: usize,
-        p: usize,
-        bwd_seen: &mut usize,
-        record: &mut StageRecord,
-    ) -> (u32, Option<u32>) {
-        // Every slot's first node can receive a cross-stage edge.
-        self.sink.cut(stage as u32);
-        match slot.pass {
-            Pass::Forward => {
-                let out = self.emit_forward_slot(stage, layers_here, p);
-                record.fwd_first[slot.micro_batch] = Some(out.0);
-                record.fwd_send[slot.micro_batch] = out.1;
-                out
-            }
-            Pass::Backward => {
-                *bwd_seen += 1;
-                let is_final_bwd = *bwd_seen == self.plan.num_micro_batches();
-                let out = self.emit_backward_slot(stage, layers_here, p, is_final_bwd, record);
-                record.bwd_first[slot.micro_batch] = Some(out.0);
-                record.bwd_send[slot.micro_batch] = out.1;
-                out
-            }
-        }
-    }
-
-    /// Accounts for the replicated copies of a block the sink accepted
-    /// without emitting them: advances the id mirror and the chain
-    /// cursors, records each copy's endpoints (the block outputs shifted
-    /// by the copy's node offset), and emits the program-order chain
-    /// edges into each copy from the previous copy's stream tails —
-    /// the only block edges whose source lies outside the block.
-    #[allow(clippy::too_many_arguments)]
-    fn skip_replicated_slots(
-        &mut self,
-        stage: usize,
-        slots: &[StageSlot],
-        w: usize,
-        block_first: u32,
-        stride: u32,
-        outputs: &[(u32, Option<u32>)],
-        bwd_seen: &mut usize,
-        record: &mut StageRecord,
-    ) {
-        let copies = (slots.len() / w - 1) as u32;
-        let first_comm = outputs.iter().find_map(|&(_, send)| send);
-        let last_compute0 = self.last_compute[stage].expect("block emits compute nodes");
-        let last_comm0 =
-            first_comm.map(|_| self.last_comm[stage].expect("block emitted its sends"));
-        self.next_node += stride * copies;
-        // Program-order chain links into each copy, from the previous
-        // copy's stream tails — both endpoints advance by the block
-        // stride, so each stream is one edge train.
-        self.sink.add_edge_train(last_compute0, stride, block_first + stride, stride, copies);
-        if let (Some(fc), Some(lc)) = (first_comm, last_comm0) {
-            self.sink.add_edge_train(lc, stride, fc + stride, stride, copies);
-        }
-        for q in 1..=copies {
-            let off = stride * q;
-            for (j, &(first, send)) in outputs.iter().enumerate() {
-                let slot = &slots[q as usize * w + j];
-                let (first, send) = (first + off, send.map(|s| s + off));
+            for slot in self.plan.schedule().stage_program(stage, p, n_micro) {
                 match slot.pass {
                     Pass::Forward => {
+                        let (first, send) = self.emit_forward_slot(stage, layers_here, p);
                         record.fwd_first[slot.micro_batch] = Some(first);
                         record.fwd_send[slot.micro_batch] = send;
                     }
                     Pass::Backward => {
-                        *bwd_seen += 1;
+                        bwd_seen += 1;
+                        let is_final_bwd = bwd_seen == n_micro;
+                        let (first, send) =
+                            self.emit_backward_slot(stage, layers_here, p, is_final_bwd, record);
                         record.bwd_first[slot.micro_batch] = Some(first);
                         record.bwd_send[slot.micro_batch] = send;
                     }
                 }
             }
+            self.emit_gradient_sync_and_update(stage, layers_here, record);
         }
-        let total = stride * copies;
-        self.last_compute[stage] = Some(last_compute0 + total);
-        if let Some(lc) = last_comm0 {
-            self.last_comm[stage] = Some(lc + total);
+
+        // Pass 2: cross-stage pipeline edges (same micro-batch precedence,
+        // Fig. 7 / §III-B).
+        let endpoint = |v: &[Option<u32>], i: usize| v[i].expect("cross-stage endpoint exists");
+        for stage in 1..p {
+            let (sends, firsts) = (&records[stage - 1].fwd_send, &records[stage].fwd_first);
+            for mb in 0..n_micro {
+                self.sink.add_edge(endpoint(sends, mb), endpoint(firsts, mb));
+            }
+        }
+        for stage in 0..p.saturating_sub(1) {
+            let (sends, firsts) = (&records[stage + 1].bwd_send, &records[stage].bwd_first);
+            for mb in 0..n_micro {
+                self.sink.add_edge(endpoint(sends, mb), endpoint(firsts, mb));
+            }
         }
     }
 
@@ -1108,21 +807,16 @@ impl<'a, S: GraphSink> Builder<'a, S> {
         p: usize,
     ) -> (u32, Option<u32>) {
         let mut first = None;
-        let track = |idx: u32, first: &mut Option<u32>| {
-            if first.is_none() {
-                *first = Some(idx);
-            }
-        };
         if stage == 0 {
-            let idx = self.compute(stage, self.vocab_sig(CompKind::EmbeddingFwd));
-            track(idx, &mut first);
+            let idx = self.compute(stage, self.sigs.vocab(CompKind::EmbeddingFwd));
+            first.get_or_insert(idx);
         }
-        if layers_here > 0 {
-            let idx = self.compute_chain(stage, false, layers_here);
-            track(idx, &mut first);
+        for _ in 0..layers_here {
+            let (idx, _) = self.layer(stage, false);
+            first.get_or_insert(idx);
         }
         let send = if stage == p - 1 {
-            self.compute(stage, self.vocab_sig(CompKind::LmHeadFwd));
+            self.compute(stage, self.sigs.vocab(CompKind::LmHeadFwd));
             None
         } else {
             // The send waits for the last compute node via an explicit edge
@@ -1146,40 +840,24 @@ impl<'a, S: GraphSink> Builder<'a, S> {
         record: &mut StageRecord,
     ) -> (u32, Option<u32>) {
         let mut first = None;
-        let track = |idx: u32, first: &mut Option<u32>| {
-            if first.is_none() {
-                *first = Some(idx);
-            }
-        };
         if stage == p - 1 {
-            let idx = self.compute(stage, self.vocab_sig(CompKind::LmHeadBwd));
-            track(idx, &mut first);
+            let idx = self.compute(stage, self.sigs.vocab(CompKind::LmHeadBwd));
+            first.get_or_insert(idx);
         }
-        // Backward visits layers deepest-first. Only the final backward
-        // slot needs per-layer emission (its gradient anchors receive
-        // cuts and late DP edges); every other slot is one pure chain.
-        if is_final_bwd {
-            for local_layer in (0..layers_here).rev() {
-                let idx = self.compute(stage, self.sig_ffn_bwd);
-                track(idx, &mut first);
-                self.tp_all_reduce(stage);
-                let mha = self.compute(stage, self.sig_mha_bwd);
-                let last = self.tp_all_reduce(stage).unwrap_or(mha);
-                // The per-layer gradient anchor sources a late edge to its
-                // DP bucket: close the aggregation run at the anchor.
+        // Backward visits layers deepest-first; the final backward slot
+        // records each layer's gradient anchor for its DP bucket.
+        for local_layer in (0..layers_here).rev() {
+            let (idx, last) = self.layer(stage, true);
+            first.get_or_insert(idx);
+            if is_final_bwd {
                 record.grad_ready[local_layer] = Some(last);
-                self.sink.cut(stage as u32);
             }
-        } else if layers_here > 0 {
-            let idx = self.compute_chain(stage, true, layers_here);
-            track(idx, &mut first);
         }
         let send = if stage == 0 {
-            let idx = self.compute(stage, self.vocab_sig(CompKind::EmbeddingBwd));
-            track(idx, &mut first);
+            let idx = self.compute(stage, self.sigs.vocab(CompKind::EmbeddingBwd));
+            first.get_or_insert(idx);
             if is_final_bwd {
                 record.embedding_bwd = Some(idx);
-                self.sink.cut(stage as u32);
             }
             None
         } else {
@@ -1199,53 +877,42 @@ impl<'a, S: GraphSink> Builder<'a, S> {
         layers_here: usize,
         record: &mut StageRecord,
     ) {
-        let d = self.plan.data();
-        if d > 1 {
+        // Buckets are stage-major: this stage's form one contiguous run.
+        let first = self.dp_buckets.partition_point(|b| b.stage < stage);
+        let end = self.dp_buckets.partition_point(|b| b.stage <= stage);
+        for i in first..end {
+            let bucket = self.dp_buckets[i];
+            let op = Op::Comm(self.comms.dp_all_reduce(bucket.bytes));
             if self.plan.gradient_bucketing() {
                 // Buckets group layers in gradient-readiness order
                 // (deepest local layer first).
-                let buckets = DpBuckets::new(
-                    self.model,
-                    self.plan,
-                    self.opts,
-                    &self.sigs,
-                    stage,
-                    layers_here,
-                );
-                for (lo, bytes) in buckets {
-                    let ar = self.dp_all_reduce(stage, bytes);
-                    // Ready when the shallowest layer of the bucket is done.
-                    let ready = record.grad_ready[lo].expect("final backward recorded");
-                    self.sink.add_edge(ready, ar);
-                    if lo == 0 {
-                        if let Some(emb) = record.embedding_bwd {
-                            self.sink.add_edge(emb, ar);
-                        }
+                let ar = self.emit(stage, StreamKind::Comm, op, bucket.slot);
+                // Ready when the shallowest layer of the bucket is done.
+                let ready = record.grad_ready[bucket.lo].expect("final backward recorded");
+                self.sink.add_edge(ready, ar);
+                if bucket.lo == 0 {
+                    if let Some(emb) = record.embedding_bwd {
+                        self.sink.add_edge(emb, ar);
                     }
-                    record.dp_all_reduces.push(ar);
                 }
+                record.dp_all_reduces.push(ar);
             } else {
                 // Unbucketed: a single All-Reduce strictly after the entire
                 // backward pass (Fig. 5(b)).
-                let bytes =
-                    unbucketed_dp_bytes(self.model, self.plan, self.opts, stage, layers_here);
                 let last_compute = self.last_compute[stage].expect("stage has compute nodes");
-                let ar = self.dp_all_reduce(stage, bytes);
+                let ar = self.emit(stage, StreamKind::Comm, op, bucket.slot);
                 self.sink.add_edge(last_compute, ar);
                 record.dp_all_reduces.push(ar);
             }
         }
 
-        // The weight update receives late edges from the All-Reduces: it
-        // must head its own aggregation run.
-        self.sink.cut(stage as u32);
-        let params = self.stage_local_params(stage, layers_here);
-        let sig = self.weight_update_sig(params);
+        let params = self.sigs.stage_local_params(stage, layers_here);
+        let sig = self.sigs.weight_update(params);
         let wu = self.emit(
             stage,
             StreamKind::Compute,
             Op::Compute(ComputeOp { sig }),
-            FIXED_COMP_SLOTS + stage as u32,
+            self.slots.weight_update(stage),
         );
         for &ar in &record.dp_all_reduces {
             self.sink.add_edge(ar, wu);

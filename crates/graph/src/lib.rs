@@ -48,8 +48,8 @@ mod graph;
 mod ops;
 
 pub use builder::{
-    build_op_graph, build_op_graph_into, plan_shape_key, plan_signatures, stage_comm_ops,
-    stage_weight_params, visit_plan_slots, ChainOp, GraphOptions, GraphSink, PlanShapeKey, SlotOp,
+    build_op_graph, build_op_graph_into, plan_signatures, stage_comm_ops, stage_weight_params,
+    visit_dp_buckets, visit_plan_slots, DpBucket, GraphOptions, GraphSink, SlotIndex, SlotOp,
     StageCommOps,
 };
 pub use graph::{OpGraph, OpNode, StreamKind};

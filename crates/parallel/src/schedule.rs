@@ -66,36 +66,54 @@ impl PipelineSchedule {
         pipeline_depth: usize,
         num_micro_batches: usize,
     ) -> Vec<StageSlot> {
+        (0..2 * num_micro_batches)
+            .map(|i| self.stage_slot(stage, pipeline_depth, num_micro_batches, i))
+            .collect()
+    }
+
+    /// Entry `index` of [`PipelineSchedule::stage_program`], in O(1) and
+    /// without materializing the program — for walks that advance every
+    /// stage's program with a cursor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage >= pipeline_depth`, either count is zero, or
+    /// `index >= 2 * num_micro_batches`.
+    #[inline]
+    pub fn stage_slot(
+        self,
+        stage: usize,
+        pipeline_depth: usize,
+        num_micro_batches: usize,
+        index: usize,
+    ) -> StageSlot {
         assert!(pipeline_depth > 0 && num_micro_batches > 0, "counts must be positive");
         assert!(stage < pipeline_depth, "stage {stage} out of range {pipeline_depth}");
         let n = num_micro_batches;
-        let mut program = Vec::with_capacity(2 * n);
+        assert!(index < 2 * n, "slot {index} out of range {}", 2 * n);
         match self {
-            PipelineSchedule::GPipe => {
-                program.extend((0..n).map(StageSlot::fwd));
-                program.extend((0..n).rev().map(StageSlot::bwd));
-            }
+            // All forwards, then all backwards in reverse order.
+            PipelineSchedule::GPipe if index < n => StageSlot::fwd(index),
+            PipelineSchedule::GPipe => StageSlot::bwd(2 * n - 1 - index),
             PipelineSchedule::OneFOneB => {
+                // Warm-up forwards, then forward/backward pairs, then the
+                // drain of the remaining backwards.
                 let warmup = (pipeline_depth - 1 - stage).min(n);
-                let mut next_fwd = 0;
-                let mut next_bwd = 0;
-                for _ in 0..warmup {
-                    program.push(StageSlot::fwd(next_fwd));
-                    next_fwd += 1;
-                }
-                while next_fwd < n {
-                    program.push(StageSlot::fwd(next_fwd));
-                    next_fwd += 1;
-                    program.push(StageSlot::bwd(next_bwd));
-                    next_bwd += 1;
-                }
-                while next_bwd < n {
-                    program.push(StageSlot::bwd(next_bwd));
-                    next_bwd += 1;
+                let steady_end = warmup + 2 * (n - warmup);
+                if index < warmup {
+                    StageSlot::fwd(index)
+                } else if index < steady_end {
+                    let pair = (index - warmup) / 2;
+                    if (index - warmup).is_multiple_of(2) {
+                        StageSlot::fwd(warmup + pair)
+                    } else {
+                        StageSlot::bwd(pair)
+                    }
+                } else {
+                    StageSlot::bwd(n - warmup + (index - steady_end))
                 }
             }
         }
-        program
     }
 
     /// Peak number of micro-batches whose forward activations are live
@@ -200,6 +218,34 @@ mod tests {
                 StageSlot::bwd(0),
             ]
         );
+    }
+
+    /// The 1F1B program as a warm-up / steady / drain loop — the
+    /// formulation [`PipelineSchedule::stage_slot`] indexes in closed form.
+    fn one_f_one_b_loop(stage: usize, depth: usize, n: usize) -> Vec<StageSlot> {
+        let warmup = (depth - 1 - stage).min(n);
+        let mut program: Vec<StageSlot> = (0..warmup).map(StageSlot::fwd).collect();
+        let (mut next_fwd, mut next_bwd) = (warmup, 0);
+        while next_fwd < n {
+            program.push(StageSlot::fwd(next_fwd));
+            program.push(StageSlot::bwd(next_bwd));
+            next_fwd += 1;
+            next_bwd += 1;
+        }
+        program.extend((next_bwd..n).map(StageSlot::bwd));
+        program
+    }
+
+    #[test]
+    fn stage_slot_matches_the_loop_formulation() {
+        for depth in 1..10 {
+            for n in 1..24 {
+                for stage in 0..depth {
+                    let program = PipelineSchedule::OneFOneB.stage_program(stage, depth, n);
+                    assert_eq!(program, one_f_one_b_loop(stage, depth, n), "{stage}/{depth} n={n}");
+                }
+            }
+        }
     }
 
     #[test]
