@@ -6,9 +6,11 @@
 //!
 //! 1. **validate** — feasibility and memory checks, no allocation
 //!    (`O(1)`; this is also the sweep executor's pruning predicate);
-//! 2. **lower** — resolve the plan's necessary-operator signatures
-//!    against the shared [`ProfileCache`], then fuse graph construction
-//!    and task lowering into one streaming pass;
+//! 2. **lower** — fuse graph construction and task lowering into one
+//!    streaming pass, resolving each distinct compute signature against
+//!    the shared [`ProfileCache`] and each distinct communication operator
+//!    against the [`CommModel`] (latency, plus its flow program under fair
+//!    sharing);
 //! 3. **simulate** — the Algorithm 1 replay ([`simulate`]);
 //! 4. **summarize** — fold a [`SimReport`] into an [`IterationEstimate`].
 //!
@@ -18,7 +20,9 @@
 //! the plan's latency-slot table and "simulate" walks each stage's
 //! pipeline schedule over it (`slot_replay`), bit-identical to the graph
 //! replay. Fair sharing, [`Estimator::measure`] and
-//! [`Estimator::timeline`] need per-task replay and keep the graph path.
+//! [`Estimator::timeline`] need per-task replay and keep the graph path;
+//! a fair-sharing point runs the builder once, and the flow replay reads
+//! the flow programs the lowering recorded.
 //!
 //! Profiles are memoized in a concurrent
 //! cache keyed by `(GpuKey, OpSignature)` shared across clones of the
@@ -33,15 +37,13 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use vtrain_gpu::NoiseModel;
 use vtrain_graph::{
-    build_op_graph, plan_signatures, CommKind, CommOp, CompKind, GraphOptions, Op, OpSignature,
-    StreamKind,
+    build_op_graph, CommKind, CommOp, CompKind, GraphOptions, Op, OpSignature, StreamKind,
 };
 use vtrain_model::{ModelConfig, TimeNs};
-use vtrain_net::flow::FlowProgram;
 use vtrain_net::{NetworkBackend, Topology};
 use vtrain_obs::{CounterSample, TimelineRecorder, TraceSpan};
 use vtrain_parallel::{ClusterSpec, ParallelConfig, PipelineSchedule, PlanError};
-use vtrain_profile::{CacheStats, CommModel, GpuKey, ProfileCache, ProfileSet, Profiler};
+use vtrain_profile::{CacheStats, CommModel, GpuKey, ProfileCache, Profiler};
 
 use crate::flow_replay::simulate_flows;
 use crate::sim::{simulate, simulate_into_traced, BusyBreakdown, SimMode, SimReport, SimScratch};
@@ -420,10 +422,10 @@ impl Estimator {
         Ok(())
     }
 
-    /// **Stage 2 — lower.** Resolves the plan's necessary operators
-    /// against the shared profile cache (profiling only signatures no
-    /// previous query has seen) and streams the execution graph directly
-    /// into a lowered [`TaskGraph`].
+    /// **Stage 2 — lower.** Streams the execution graph directly into a
+    /// lowered [`TaskGraph`], resolving each distinct operator against the
+    /// shared profile cache on first sight (profiling only signatures no
+    /// previous query has seen).
     ///
     /// Weight updates are the one exception to cache residency: they
     /// decompose to a single fused Adam kernel whose latency is a
@@ -448,42 +450,14 @@ impl Estimator {
         plan: &ParallelConfig,
         stats: &mut CacheStats,
     ) -> TaskGraph {
-        let mut profiles = ProfileSet::default();
-        for sig in plan_signatures(model, plan, &self.graph_opts) {
-            let profile = if sig.kind == CompKind::WeightUpdate {
-                Arc::new(self.profiler.profile_operator(&sig))
-            } else {
-                self.cache.get_with(&self.gpu_key, &self.profiler, &sig, stats)
-            };
-            profiles.insert(sig, profile);
-        }
-        TaskGraph::lower_fused(model, plan, &self.graph_opts, &profiles, &self.comm)
-            .expect("plan_signatures covers all emitted operators")
+        TaskGraph::lower_fused(model, plan, &self.graph_opts, &mut self.source(stats), &self.comm)
+            .expect("estimator profile source resolves every signature")
     }
 
-    /// [`Estimator::lower_counted`] plus the per-task flow programs the
-    /// fair-sharing replay consumes: `programs[i]` is `Some` exactly for
-    /// the link-crossing communication tasks (the fused lowering emits
-    /// one task per operator-graph node in node order, so task id ==
-    /// node index).
-    fn lower_with_programs(
-        &self,
-        model: &ModelConfig,
-        plan: &ParallelConfig,
-        stats: &mut CacheStats,
-    ) -> (TaskGraph, Vec<Option<FlowProgram>>) {
-        let graph = build_op_graph(model, plan, &self.graph_opts);
-        let tg = self.lower_counted(model, plan, stats);
-        assert_eq!(tg.len(), graph.num_nodes(), "lowering preserves node count and order");
-        let programs = graph
-            .nodes()
-            .iter()
-            .map(|node| match &node.op {
-                Op::Comm(c) => self.comm.flow_program(c),
-                Op::Compute(_) => None,
-            })
-            .collect();
-        (tg, programs)
+    /// The shared profile cache as a [`ProfileSource`], tallying lookups
+    /// into `stats`.
+    fn source<'a>(&'a self, stats: &'a mut CacheStats) -> CacheSource<'a> {
+        CacheSource { cache: &self.cache, profiler: &self.profiler, gpu_key: &self.gpu_key, stats }
     }
 
     /// **Stage 3 — simulate.** Replays a lowered task graph (Algorithm 1).
@@ -566,20 +540,15 @@ impl Estimator {
             // The walk prices each comm task in isolation — exactly the
             // assumption fair sharing drops — so every fair-sharing point
             // takes the full lowering + physical replay.
-            let graph = self.lower_with_programs(model, plan, cache_stats);
+            let graph = self.lower_counted(model, plan, cache_stats);
             t1 = now();
-            *report = simulate_flows(&graph.0, &graph.1, self.topology(), None, None);
+            *report = simulate_flows(&graph, self.topology(), None, None);
             t2 = now();
             // Teardown is attributed to the stage that allocated.
             drop(graph);
             t3 = now();
         } else {
-            let mut source = CacheSource {
-                cache: &self.cache,
-                profiler: &self.profiler,
-                gpu_key: &self.gpu_key,
-                stats: cache_stats,
-            };
+            let mut source = self.source(cache_stats);
             price_slots(model, plan, &self.graph_opts, &mut source, &self.comm, slots)
                 .expect("estimator profile source resolves every signature");
             t1 = now();
@@ -739,24 +708,11 @@ impl Estimator {
             });
         };
         if self.network() == NetworkBackend::FairSharing {
-            let programs: Vec<Option<FlowProgram>> = nodes
-                .iter()
-                .map(|node| match &node.op {
-                    Op::Comm(c) => self.comm.flow_program(c),
-                    Op::Compute(_) => None,
-                })
-                .collect();
             // Counter samples are buffered and attached after the replay:
             // the span-recording closure holds the recorder borrow.
             let mut samples: Vec<(TimeNs, Vec<f64>)> = Vec::new();
             let mut net_trace = |t: TimeNs, util: &[f64]| samples.push((t, util.to_vec()));
-            report = simulate_flows(
-                &tg,
-                &programs,
-                self.topology(),
-                Some(&mut record),
-                Some(&mut net_trace),
-            );
+            report = simulate_flows(&tg, self.topology(), Some(&mut record), Some(&mut net_trace));
             for (t, util) in samples {
                 recorder.record_counter(CounterSample {
                     pid: 0,
@@ -1183,9 +1139,9 @@ mod tests {
     }
 
     #[test]
-    fn fair_sharing_compact_path_delegates_to_the_full_replay() {
-        // The sweep hot path has no fair-sharing fast lane: it must fall
-        // back to the full lowering + physical replay and agree exactly.
+    fn fair_sharing_sweep_path_matches_the_composed_estimate() {
+        // The sweep hot path has no fair-sharing fast lane: it takes the
+        // full lowering + physical replay and must agree exactly.
         let cluster = ClusterSpec::aws_p4d(32);
         let model = presets::megatron("1.7B");
         let p = plan(2, 8, 2, 1, 16);
@@ -1218,8 +1174,7 @@ mod tests {
 
         // FairSharing: the flow replay over the lowered graph.
         let fair = Estimator::builder(cluster).network(NetworkBackend::FairSharing).build();
-        let (tg, programs) = fair.lower_with_programs(&model, &p, &mut CacheStats::default());
-        let report = simulate_flows(&tg, &programs, fair.topology(), None, None);
+        let report = simulate_flows(&fair.lower(&model, &p), fair.topology(), None, None);
         let estimate = fair.estimate(&model, &p).unwrap();
         assert_eq!(estimate, fair.summarize(&model, &p, &report));
 
@@ -1236,6 +1191,41 @@ mod tests {
         let timeline = closed.timeline(&model, &p).unwrap();
         assert_eq!(timeline.report, closed.simulate(&tasks, SimMode::Predicted));
         assert_eq!(timeline.recorder.spans().len(), tasks.len());
+    }
+
+    #[test]
+    fn fair_lowering_aligns_with_the_operator_graph() {
+        // Task i of the fair lowering is node i of the operator graph:
+        // same device, stream and children, and the flow program the comm
+        // model compiles for that node. Rack-tier plans with p > 1 put
+        // pipeline sends and DP All-Reduces on every tier.
+        let cluster = ClusterSpec::aws_p4d(64);
+        let spine = vtrain_net::TierSpec::new(25e9, TimeNs::from_micros(35), 1.0);
+        let est = Estimator::builder(cluster.clone())
+            .topology(cluster.topology(1.0).with_rack_tier(2, spine))
+            .network(NetworkBackend::FairSharing)
+            .build();
+        let model = presets::megatron("1.7B");
+        for p in [plan(2, 16, 2, 1, 16), plan(2, 4, 8, 1, 32), plan(4, 4, 4, 2, 32)] {
+            let graph = build_op_graph(&model, &p, &est.graph_opts);
+            let tg = est.lower(&model, &p);
+            assert_eq!(tg.len(), graph.num_nodes(), "{p}");
+            let mut rack_flows = 0;
+            for (i, node) in graph.nodes().iter().enumerate() {
+                let id = i as u32;
+                assert_eq!(tg.devices()[i], node.device, "{p}: device of {i}");
+                assert_eq!(tg.streams()[i], node.stream as u8, "{p}: stream of {i}");
+                assert_eq!(tg.children(id), graph.children(id), "{p}: children of {i}");
+                let expected = match &node.op {
+                    Op::Comm(c) => est.comm.flow_program(c),
+                    Op::Compute(_) => None,
+                };
+                assert_eq!(tg.flow_program(id), expected.as_ref(), "{p}: flow of {i}");
+                rack_flows +=
+                    usize::from(expected.is_some_and(|f| f.phases.iter().any(|ph| ph.tier == 2)));
+            }
+            assert!(rack_flows > 0, "{p}: some flow must cross the rack tier");
+        }
     }
 
     #[test]

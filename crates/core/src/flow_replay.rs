@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 use vtrain_engine::{Handler, Simulation};
 use vtrain_graph::CommKind;
 use vtrain_model::TimeNs;
-use vtrain_net::flow::{FlowProgram, FlowSim};
+use vtrain_net::flow::FlowSim;
 use vtrain_net::Topology;
 
 use crate::sim::{BusyBreakdown, SimReport, TaskTrace};
@@ -48,7 +48,6 @@ enum FlowEvent {
 
 struct FlowReplay<'a, 't> {
     graph: &'a TaskGraph,
-    programs: &'a [Option<FlowProgram>],
     net: FlowSim,
     /// Bumped on every flow-set mutation; pending `NetTick`s with an
     /// older generation are stale and ignored.
@@ -103,7 +102,8 @@ impl<'a, 't> FlowReplay<'a, 't> {
     fn start_task(&mut self, task: u32, sim: &mut Simulation<FlowEvent>) {
         let now = sim.now();
         self.started_at[task as usize] = now;
-        match &self.programs[task as usize] {
+        let graph = self.graph;
+        match graph.flow_program(task) {
             Some(program) => {
                 // Process any flow boundary landing exactly now before
                 // the join, then admit the new flow.
@@ -202,22 +202,20 @@ impl Handler<FlowEvent> for FlowReplay<'_, '_> {
 
 /// Replays `graph` in physical time with fair-shared network flows.
 ///
-/// `programs[i]` is task `i`'s bandwidth demand ([`None`] keeps the
-/// closed-form fixed duration). `trace` observes `(task, start, finish)`
-/// per executed task; `net_trace` observes `(time, per-tier utilization)`
-/// at every refill.
+/// Each task's [`TaskGraph::flow_program`] is its bandwidth demand (tasks
+/// without one keep their closed-form fixed duration). `trace` observes
+/// `(task, start, finish)` per executed task; `net_trace` observes
+/// `(time, per-tier utilization)` at every refill.
 ///
 /// # Panics
 ///
-/// Panics if `programs.len() != graph.len()` or the graph has a cycle.
+/// Panics if the graph has a cycle.
 pub(crate) fn simulate_flows<'t>(
     graph: &TaskGraph,
-    programs: &[Option<FlowProgram>],
     topology: &Topology,
     trace: Option<TaskTrace<'t>>,
     net_trace: Option<NetTrace<'t>>,
 ) -> SimReport {
-    assert_eq!(programs.len(), graph.len(), "one program slot per task");
     let lanes = graph.num_devices() as usize * 2;
     let mut in_degree = Vec::new();
     graph.fill_in_degrees(&mut in_degree);
@@ -231,7 +229,6 @@ pub(crate) fn simulate_flows<'t>(
 
     let mut replay = FlowReplay {
         graph,
-        programs,
         net: FlowSim::new(topology),
         generation: 0,
         flow_task: Vec::new(),

@@ -4,21 +4,24 @@
 //!
 //! The estimation path is a staged pipeline ([`Estimator`]): **validate**
 //! (cheap feasibility/memory checks, also the sweep's pruning predicate) →
-//! **lower** (necessary-operator signatures resolved against a shared
-//! concurrent profile cache, then graph construction fused with lowering
-//! into a [`TaskGraph`]) → **simulate** ([`simulate`] replays **Algorithm
-//! 1** — a FIFO ready-queue traversal over per-(GPU, stream) timelines
-//! honoring dependencies and computation/communication overlap; stream-
-//! chained graphs take a provably equivalent dataflow fast path) →
-//! **summarize** (fold the replay into an [`IterationEstimate`]).
+//! **lower** (graph construction fused with lowering into a
+//! [`TaskGraph`], each distinct operator resolved once against a shared
+//! concurrent profile cache) → **simulate** ([`simulate`] replays
+//! **Algorithm 1** — a FIFO ready-queue traversal over per-(GPU, stream)
+//! timelines honoring dependencies and computation/communication overlap,
+//! run as a provably equivalent dataflow relaxation because every task
+//! graph is stream-chained) → **summarize** (fold the replay into an
+//! [`IterationEstimate`]).
 //!
 //! Predicted estimates under the closed-form network model skip the
 //! graph: there, **lower** prices the plan's latency-slot table
 //! ([`vtrain_graph::visit_plan_slots`]) and **simulate** walks each
 //! stage's pipeline schedule slot by slot over it, bit-identical to the
-//! graph replay. The fair-sharing network model, [`Estimator::measure`]
-//! and [`Estimator::timeline`] replay the full task graph, which also
-//! serves as the walk's test oracle.
+//! graph replay. [`Estimator::measure`] and [`Estimator::timeline`]
+//! replay the full task graph, which also serves as the walk's test
+//! oracle; the fair-sharing network model replays it in physical time,
+//! with link-crossing communication as flows on the `vtrain-engine`
+//! event kernel.
 //!
 //! [`Estimator::estimate`] composes the stages; [`search`] sweeps the
 //! `(t, d, p, m)` design space on a work-stealing executor that shares the

@@ -1,19 +1,16 @@
 //! Algorithm 1: estimating single-iteration training time by replaying the
 //! task-granularity execution graph over per-GPU timelines.
 //!
-//! The replay runs on the shared [`vtrain_engine`] discrete-event kernel:
-//! tasks become engine events, per-GPU compute/communication streams become
-//! [`TimelineSet`] resources. Algorithm 1 is a *logical-time* replay — the
-//! paper processes the ready queue in FIFO order, not in physical-time
-//! order — so every readiness event is scheduled at the same logical tick
-//! and the engine's sequence-number tie-break reproduces the FIFO queue
-//! exactly, while physical start/finish times accumulate on the stream
-//! timelines. This keeps the port bit-identical to the paper's pseudocode
-//! (proven by the golden-equivalence property test below).
+//! Algorithm 1 is a *logical-time* replay: the paper processes the ready
+//! queue in FIFO order, not in physical-time order. Both lowerings emit
+//! stream-chained graphs — every per-(device, stream) program is totally
+//! ordered by dependency edges — and on such a graph the FIFO order
+//! cannot move any start time, so [`simulate`] is a dataflow longest-path
+//! relaxation over the DAG. It is tested bit-identical to the paper's
+//! pseudocode transcribed literally (`simulate_reference`, the golden
+//! equivalence property test below).
 
 use serde::{Deserialize, Serialize};
-use vtrain_engine::resource::TimelineSet;
-use vtrain_engine::{Handler, Simulation};
 use vtrain_gpu::NoiseModel;
 use vtrain_graph::{CommKind, CommScope};
 use vtrain_model::TimeNs;
@@ -83,85 +80,19 @@ impl SimReport {
     }
 }
 
-/// The engine event of the replay: task `0..n` has all dependencies
-/// satisfied and enters the ready queue.
-struct TaskReady(u32);
-
 /// Per-task observer of a traced replay: `(task id, start, finish)` on
 /// the simulated clock, invoked once per executed task.
 pub type TaskTrace<'t> = &'t mut dyn FnMut(u32, TimeNs, TimeNs);
 
-/// Reusable buffers of the replay — Algorithm 1's `ref`/`ready` arrays,
-/// the dataflow traversal stack, the chain-check scratch, and the engine
-/// simulation itself. A sweep worker threads one of these through every
-/// point it evaluates, so steady-state replays perform no per-point heap
-/// allocation in either the dataflow or the engine path.
+/// Reusable buffers of the replay — Algorithm 1's `ref`/`ready` arrays
+/// and the traversal stack. A caller replaying many graphs threads one of
+/// these through every call, so steady-state replays perform no per-graph
+/// heap allocation.
 #[derive(Default)]
 pub struct SimScratch {
     in_degree: Vec<u32>,
     ready_at: Vec<TimeNs>,
     stack: Vec<u32>,
-    chain_last: Vec<Option<u32>>,
-    engine: Simulation<TaskReady>,
-    streams: TimelineSet,
-}
-
-/// Engine handler executing ready tasks over the per-(device, stream)
-/// timelines.
-struct Replay<'a, 'b, 't> {
-    graph: &'a TaskGraph,
-    mode: SimMode<'a>,
-    in_degree: &'b mut [u32],
-    /// Dependency-completion time per task (Algorithm 1's `ready`).
-    ready_at: &'b mut [TimeNs],
-    /// Per-(device, stream) availability — the engine resources.
-    streams: &'b mut TimelineSet,
-    device_busy: &'b mut [TimeNs],
-    busy: BusyBreakdown,
-    iteration_time: TimeNs,
-    executed: usize,
-    trace: Option<TaskTrace<'t>>,
-}
-
-impl Handler<TaskReady> for Replay<'_, '_, '_> {
-    fn handle(&mut self, TaskReady(u): TaskReady, sim: &mut Simulation<TaskReady>) {
-        let i = u as usize;
-        let kind = self.graph.kinds()[i];
-        let duration = effective_duration(u, self.graph.durations()[i], &kind, &self.mode);
-        let dev = self.graph.devices()[i] as usize;
-        let stream = self.graph.streams()[i] as usize;
-        let reservation = self.streams.reserve(dev, stream, self.ready_at[i], duration);
-        self.iteration_time = self.iteration_time.max(reservation.finish);
-        if let Some(trace) = self.trace.as_mut() {
-            trace(u, reservation.start, reservation.finish);
-        }
-
-        match kind {
-            TaskKind::Compute { .. } => {
-                self.busy.compute += duration;
-                self.device_busy[dev] += duration;
-            }
-            TaskKind::Comm { kind, .. } => match kind {
-                CommKind::TpAllReduce => {
-                    self.busy.tp_comm += duration;
-                    self.device_busy[dev] += duration;
-                }
-                CommKind::DpAllReduce => self.busy.dp_comm += duration,
-                CommKind::PpSendRecv => self.busy.pp_comm += duration,
-            },
-        }
-
-        for &c in self.graph.children(u) {
-            self.ready_at[c as usize] = self.ready_at[c as usize].max(reservation.finish);
-            self.in_degree[c as usize] -= 1;
-            if self.in_degree[c as usize] == 0 {
-                // All readiness events share one logical tick; the queue's
-                // sequence tie-break makes dispatch order exactly FIFO.
-                sim.schedule(TimeNs::ZERO, TaskReady(c));
-            }
-        }
-        self.executed += 1;
-    }
 }
 
 /// Replays the task graph (Algorithm 1 of the paper).
@@ -172,12 +103,11 @@ impl Handler<TaskReady> for Replay<'_, '_, '_> {
 /// its children. The per-device compute and communication streams advance
 /// independently, modeling computation/communication overlap (Fig. 5).
 ///
-/// When the graph is [stream-chained](TaskGraph::is_stream_chained) — true
-/// for everything the graph builder produces — the FIFO schedule is fully
-/// determined by the DAG and the replay runs on the allocation-light
-/// dataflow fast path; otherwise it runs on the discrete-event engine.
-/// Both paths produce bit-identical reports on chained graphs (see the
-/// equivalence property test).
+/// Every [`TaskGraph`] is stream-chained — both lowerings guarantee it —
+/// so the FIFO schedule is fully determined by the DAG and the replay is
+/// a longest-path relaxation over it (see the correctness argument on
+/// [`simulate_into`]), bit-identical to the literal FIFO pseudocode (see
+/// the equivalence property test).
 ///
 /// # Panics
 ///
@@ -192,6 +122,17 @@ pub fn simulate(graph: &TaskGraph, mode: SimMode<'_>) -> SimReport {
 /// [`simulate`] over caller-owned scratch buffers, writing the result into
 /// `report` (whose `device_busy` vector is reused). Repeated calls on
 /// graphs of non-increasing size perform no heap allocation.
+///
+/// Correctness argument. On a stream-chained graph, tasks reserve each
+/// (device, stream) timeline in chain order, and a task's chain
+/// predecessor is one of its dependency parents. At the moment task `u`
+/// reserves its stream, the stream's availability equals its chain
+/// predecessor's finish — which `ready_at[u] = max(parent finishes)`
+/// already includes. So `start(u) = max(ready_at, avail) = ready_at[u]`:
+/// the FIFO dispatch order cannot influence any start time, and every
+/// quantity the report aggregates (max finish, commutative busy sums) is
+/// traversal-order independent. Hence this traversal — plain Kahn with a
+/// stack — reproduces Algorithm 1's FIFO replay bit for bit.
 pub fn simulate_into(
     graph: &TaskGraph,
     mode: SimMode<'_>,
@@ -224,36 +165,6 @@ fn simulate_into_with(
     mode: SimMode<'_>,
     scratch: &mut SimScratch,
     report: &mut SimReport,
-    trace: Option<TaskTrace<'_>>,
-) {
-    report.busy = BusyBreakdown::default();
-    report.iteration_time = TimeNs::ZERO;
-    report.device_busy.clear();
-    report.device_busy.resize(graph.num_devices() as usize, TimeNs::ZERO);
-    if graph.is_stream_chained_with(&mut scratch.chain_last) {
-        simulate_dataflow(graph, mode, scratch, report, trace);
-    } else {
-        simulate_engine_into(graph, mode, scratch, report, trace);
-    }
-}
-
-/// The dataflow fast path: longest-path relaxation over the DAG.
-///
-/// Correctness argument. On a stream-chained graph, tasks reserve each
-/// (device, stream) timeline in chain order, and a task's chain
-/// predecessor is one of its dependency parents. At the moment task `u`
-/// reserves its stream, the stream's availability equals its chain
-/// predecessor's finish — which `ready_at[u] = max(parent finishes)`
-/// already includes. So `start(u) = max(ready_at, avail) = ready_at[u]`:
-/// the FIFO dispatch order cannot influence any start time, and every
-/// quantity the report aggregates (max finish, commutative busy sums) is
-/// traversal-order independent. Hence this traversal — plain Kahn with a
-/// stack — reproduces the engine replay bit for bit.
-fn simulate_dataflow(
-    graph: &TaskGraph,
-    mode: SimMode<'_>,
-    scratch: &mut SimScratch,
-    report: &mut SimReport,
     mut trace: Option<TaskTrace<'_>>,
 ) {
     let n = graph.len();
@@ -262,6 +173,8 @@ fn simulate_dataflow(
     scratch.ready_at.clear();
     scratch.ready_at.resize(n, TimeNs::ZERO);
     let ready_at = &mut scratch.ready_at;
+    report.device_busy.clear();
+    report.device_busy.resize(graph.num_devices() as usize, TimeNs::ZERO);
     let device_busy = &mut report.device_busy;
     let mut busy = BusyBreakdown::default();
     let mut iteration_time = TimeNs::ZERO;
@@ -269,7 +182,7 @@ fn simulate_dataflow(
 
     // The hot loop reads the duration/kind/device columns directly; the
     // stream column is untouched here (chained graphs need no stream
-    // availability — see the correctness argument above).
+    // availability — see the correctness argument on `simulate_into`).
     let durations = graph.durations();
     let kinds = graph.kinds();
     let devices = graph.devices();
@@ -279,9 +192,9 @@ fn simulate_dataflow(
     let stack = &mut scratch.stack;
     while let Some(u) = stack.pop() {
         let duration = effective_duration(u, durations[u as usize], &kinds[u as usize], &mode);
-        // On a stream-chained graph start(u) == ready_at[u] (see the
-        // correctness argument above), so the trace can report exact
-        // start/finish without consulting stream availability.
+        // On a stream-chained graph start(u) == ready_at[u], so the trace
+        // can report exact start/finish without consulting stream
+        // availability.
         let finish = ready_at[u as usize] + duration;
         iteration_time = iteration_time.max(finish);
         if let Some(trace) = trace.as_mut() {
@@ -320,61 +233,6 @@ fn simulate_dataflow(
     report.tasks_executed = executed;
 }
 
-/// The general path: Algorithm 1 on the shared discrete-event engine.
-fn simulate_engine_into(
-    graph: &TaskGraph,
-    mode: SimMode<'_>,
-    scratch: &mut SimScratch,
-    report: &mut SimReport,
-    trace: Option<TaskTrace<'_>>,
-) {
-    let n = graph.len();
-    let devices = graph.num_devices() as usize;
-    graph.fill_in_degrees(&mut scratch.in_degree);
-    scratch.ready_at.clear();
-    scratch.ready_at.resize(n, TimeNs::ZERO);
-    scratch.streams.reset(devices, 2);
-    let mut replay = Replay {
-        graph,
-        mode,
-        in_degree: &mut scratch.in_degree,
-        ready_at: &mut scratch.ready_at,
-        streams: &mut scratch.streams,
-        device_busy: &mut report.device_busy,
-        busy: BusyBreakdown::default(),
-        iteration_time: TimeNs::ZERO,
-        executed: 0,
-        trace,
-    };
-
-    let sim = &mut scratch.engine;
-    sim.reset();
-    for i in 0..n as u32 {
-        if replay.in_degree[i as usize] == 0 {
-            sim.schedule(TimeNs::ZERO, TaskReady(i));
-        }
-    }
-    sim.run(&mut replay);
-
-    assert_eq!(
-        replay.executed, n,
-        "task graph contains a cycle: {} of {n} tasks ran",
-        replay.executed
-    );
-    report.iteration_time = replay.iteration_time;
-    report.busy = replay.busy;
-    report.tasks_executed = replay.executed;
-}
-
-/// The engine path with fresh buffers (test comparison hook).
-#[cfg(test)]
-fn simulate_engine(graph: &TaskGraph, mode: SimMode<'_>) -> SimReport {
-    let mut report = SimReport::default();
-    report.device_busy.resize(graph.num_devices() as usize, TimeNs::ZERO);
-    simulate_engine_into(graph, mode, &mut SimScratch::default(), &mut report, None);
-    report
-}
-
 /// Applies the mode's perturbations to one task's clean duration.
 fn effective_duration(task_id: u32, clean: TimeNs, kind: &TaskKind, mode: &SimMode<'_>) -> TimeNs {
     match mode {
@@ -402,12 +260,13 @@ fn effective_duration(task_id: u32, clean: TimeNs, kind: &TaskKind, mode: &SimMo
     }
 }
 
-/// The paper's pseudocode transcribed literally (the pre-engine,
-/// pre-columnar implementation), kept as the golden reference both the
-/// engine port and the columnar refactor are tested against: it walks the
-/// CSR through the assembled per-task [`TaskGraph::task`] view (the old
-/// array-of-structs access pattern), so any misalignment the column split
-/// could introduce shows up as a report divergence here.
+/// The paper's pseudocode transcribed literally — a `VecDeque` ready
+/// queue over explicit per-(device, stream) availability — kept as the
+/// golden oracle the dataflow replay and the columnar layout are tested
+/// against: it walks the CSR through the assembled per-task
+/// [`TaskGraph::task`] view (the old array-of-structs access pattern), so
+/// any misalignment the column split could introduce shows up as a report
+/// divergence here.
 #[cfg(test)]
 fn simulate_reference(graph: &TaskGraph, mode: SimMode<'_>) -> SimReport {
     use std::collections::VecDeque;
@@ -520,13 +379,11 @@ mod tests {
 
     #[test]
     fn two_runs_produce_bit_identical_reports() {
-        // Regression test for replay-ordering nondeterminism: the engine
-        // queue's sequence tie-break guarantees equal-timestamp events pop
-        // in insertion order, so the whole serialized report must match
-        // byte for byte run-to-run. Same-process heap behavior alone would
-        // also repeat, so each run is additionally pinned to the reference
-        // VecDeque replay — a genuinely FIFO structure — which breaks if
-        // the tie-break is ever removed.
+        // Regression test for replay-ordering nondeterminism: the whole
+        // serialized report must match byte for byte run-to-run. Same-
+        // process behavior alone would also repeat, so each run is
+        // additionally pinned to the reference VecDeque replay — a
+        // genuinely FIFO structure.
         let tg = lower(2, 2, 2, 1, 8, PipelineSchedule::OneFOneB, true);
         let noise = NoiseModel::new(NoiseConfig::default());
         for mode in [SimMode::Predicted, SimMode::Measured { noise: &noise, nodes: 2 }] {
@@ -628,11 +485,11 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
         /// Golden equivalence: on sampled `(t, d, p, m)` design points, the
-        /// engine-backed replay reproduces the legacy FIFO replay *exactly*
-        /// — iteration time, busy breakdown, per-device busy vectors — in
+        /// dataflow replay reproduces the legacy FIFO replay *exactly* —
+        /// iteration time, busy breakdown, per-device busy vectors — in
         /// both Predicted and Measured modes.
         #[test]
-        fn engine_replay_matches_legacy_exactly(
+        fn dataflow_replay_matches_legacy_exactly(
             t_exp in 0usize..=1,
             d_exp in 0usize..=1,
             p_exp in 0usize..=2,
@@ -644,24 +501,14 @@ mod tests {
             let b = d * m * 4;
             let sched = if gpipe { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
             let tg = lower(t, d, p, m, b, sched, bucketing);
-            assert!(tg.is_stream_chained(), "builder graphs are stream-chained");
-
-            // All three replays — dataflow fast path (what simulate picks
-            // for chained graphs), engine replay, legacy pseudocode — must
-            // agree exactly.
-            let fast = simulate(&tg, SimMode::Predicted);
-            let engine = simulate_engine(&tg, SimMode::Predicted);
-            let legacy = simulate_reference(&tg, SimMode::Predicted);
-            assert_reports_identical(&fast, &engine);
-            assert_reports_identical(&engine, &legacy);
 
             let noise = NoiseModel::new(NoiseConfig::default());
-            let mode = SimMode::Measured { noise: &noise, nodes: (t * d * p).div_ceil(8) };
-            let fast = simulate(&tg, mode);
-            let engine = simulate_engine(&tg, mode);
-            let legacy = simulate_reference(&tg, mode);
-            assert_reports_identical(&fast, &engine);
-            assert_reports_identical(&engine, &legacy);
+            for mode in [
+                SimMode::Predicted,
+                SimMode::Measured { noise: &noise, nodes: (t * d * p).div_ceil(8) },
+            ] {
+                assert_reports_identical(&simulate(&tg, mode), &simulate_reference(&tg, mode));
+            }
         }
 
         /// Tracing is pure observation: a traced replay produces a

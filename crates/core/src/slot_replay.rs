@@ -23,9 +23,9 @@
 //! Busy totals, `device_busy` and `tasks_executed` are order-independent
 //! sums, so they come out in closed form per stage. Every duration is a
 //! sum of slot-table values ([`visit_plan_slots`]) in exact `u64`
-//! arithmetic, so the report is **bit-identical** to
-//! `simulate(&TaskGraph::lower_fused(..), SimMode::Predicted)` — proven
-//! by the equivalence tests below.
+//! arithmetic, so the report is **bit-identical** to the task-graph
+//! replay, `simulate(&TaskGraph::lower_fused(..), SimMode::Predicted)`,
+//! which is its oracle in the equivalence tests below.
 //!
 //! Measured mode keys noise on task ids and fair sharing prices
 //! communication by contention; both need the task graph, so this path is
@@ -52,6 +52,13 @@ pub(crate) trait ProfileSource {
     /// The profiled `(total latency, kernel count)` of `sig`, or `None`
     /// if the signature cannot be resolved.
     fn op_latency(&mut self, sig: &OpSignature) -> Option<(TimeNs, u32)>;
+}
+
+#[cfg(test)]
+impl ProfileSource for vtrain_profile::ProfileSet {
+    fn op_latency(&mut self, sig: &OpSignature) -> Option<(TimeNs, u32)> {
+        self.lookup(sig)
+    }
 }
 
 /// Buffers of the slot pricing and the walk, reused point to point by a
@@ -338,15 +345,6 @@ mod tests {
     use crate::sim::{simulate, SimMode};
     use crate::task_graph::TaskGraph;
 
-    /// `ProfileSet` adapter for tests.
-    struct SetSource<'a>(&'a ProfileSet);
-
-    impl ProfileSource for SetSource<'_> {
-        fn op_latency(&mut self, sig: &OpSignature) -> Option<(TimeNs, u32)> {
-            self.0.lookup(sig)
-        }
-    }
-
     /// The p4d network, or one GPU per node behind 0.5 GB/s links: every
     /// group then crosses nodes, sends outlast their slots and DP
     /// buckets outlast their layers, so comm-stream queueing decides
@@ -373,14 +371,14 @@ mod tests {
     ) {
         let profiler = Profiler::new(GpuSpec::a100_40gb());
         let sigs = vtrain_graph::plan_signatures(model, plan, opts);
-        let profiles = ProfileCache::new().resolve(&profiler, &sigs);
+        let mut profiles = ProfileCache::new().resolve(&profiler, &sigs);
 
-        let full = TaskGraph::lower_fused(model, plan, opts, &profiles, comm).unwrap();
+        let full = TaskGraph::lower_fused(model, plan, opts, &mut profiles, comm).unwrap();
         let expect = simulate(&full, SimMode::Predicted);
         drop(full);
 
         let mut report = SimReport::default();
-        price_slots(model, plan, opts, &mut SetSource(&profiles), comm, scratch).unwrap();
+        price_slots(model, plan, opts, &mut profiles, comm, scratch).unwrap();
         walk(model, plan, scratch, &mut report);
         assert_eq!(report, expect, "{plan} under {opts:?}");
     }
@@ -440,12 +438,11 @@ mod tests {
         let model = presets::megatron("1.7B");
         let plan = ParallelConfig::builder().global_batch(4).build().unwrap();
         let comm = CommModel::new(&ClusterSpec::aws_p4d(8), 1.0);
-        let empty = ProfileSet::default();
         let err = price_slots(
             &model,
             &plan,
             &GraphOptions::default(),
-            &mut SetSource(&empty),
+            &mut ProfileSet::default(),
             &comm,
             &mut SlotScratch::default(),
         )

@@ -14,25 +14,37 @@
 //! working set to the columns it actually reads instead of striding over
 //! 40-byte task records. [`Task`] remains as the assembled per-index view.
 //!
+//! Every communication task also records its operator's
+//! [`CommModel::flow_program`] — its bandwidth demand on the fair-sharing
+//! network — compiled once per distinct operator. Under the closed-form
+//! backend no operator has one and the column stays empty.
+//!
 //! Two lowering paths produce identical graphs:
 //! * [`TaskGraph::lower`] consumes a materialized [`OpGraph`];
-//! * [`TaskGraph::lower_fused`] streams the builder's nodes straight into
+//! * `TaskGraph::lower_fused` streams the builder's nodes straight into
 //!   tasks via [`GraphSink`], never allocating the operator graph — the
-//!   hot path of the staged estimation pipeline.
+//!   estimator's path.
+//!
+//! Both yield **stream-chained** graphs: each per-(device, stream)
+//! program is totally ordered by dependency edges, the shape the replay
+//! relies on. The builder emits that shape by construction; a
+//! hand-built operator graph is checked once, when it is lowered.
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use vtrain_graph::{
     build_op_graph_into, CommKind, CommOp, CommScope, GraphOptions, GraphSink, Op, OpGraph, OpNode,
     OpSignature, StreamKind,
 };
 use vtrain_model::{ModelConfig, TimeNs};
+use vtrain_net::flow::FlowProgram;
 use vtrain_parallel::ParallelConfig;
-use vtrain_profile::{CommModel, OperatorTaskTable, ProfileSet};
+use vtrain_profile::{CommModel, OperatorTaskTable};
+
+use crate::slot_replay::ProfileSource;
 
 /// What a task does (drives how the measured-mode perturbations apply).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TaskKind {
     /// Aggregated compute-kernel sequence.
     Compute {
@@ -54,7 +66,7 @@ pub enum TaskKind {
 
 /// One schedulable unit of the task-granularity graph — the assembled view
 /// of one index across the [`TaskGraph`]'s columns.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Task {
     /// Owning device (pipeline-stage representative GPU).
     pub device: u32,
@@ -72,16 +84,24 @@ pub struct Task {
 /// children are stored in compressed sparse-row form: `targets[offsets[i]..
 /// offsets[i + 1]]` are the successors of task `i`, in edge-insertion
 /// order (which the replay's FIFO dispatch depends on).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TaskGraph {
     device: Vec<u32>,
     stream: Vec<u8>,
     duration: Vec<TimeNs>,
     kind: Vec<TaskKind>,
+    /// Index into `programs` per task, or [`NO_FLOW`]; empty when no task
+    /// has a flow program.
+    flow: Vec<u32>,
+    /// The distinct flow programs of the graph's communication.
+    programs: Vec<FlowProgram>,
     offsets: Vec<u32>,
     targets: Vec<u32>,
     num_devices: u32,
 }
+
+/// The `flow` entry of a task without a flow program.
+const NO_FLOW: u32 = u32::MAX;
 
 /// Error lowering an operator graph: an operator was never profiled.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -103,6 +123,12 @@ impl TaskGraph {
     ///
     /// Returns [`MissingProfile`] if a compute operator's signature is not
     /// in `table`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph` is not stream-chained: some node is not a child
+    /// of the previous node on its (device, stream). Graphs from
+    /// [`vtrain_graph::build_op_graph`] always are.
     pub fn lower(
         graph: &OpGraph,
         table: &OperatorTaskTable,
@@ -121,9 +147,7 @@ impl TaskGraph {
                         TaskKind::Compute { kernels: profile.kernel_count() as u32 },
                     );
                 }
-                Op::Comm(c) => {
-                    cols.push(node.device, stream, comm.latency(c), comm_kind(c));
-                }
+                Op::Comm(c) => cols.push_comm(node.device, stream, c, comm),
             }
         }
         // CSR straight from the graph's per-node child lists.
@@ -135,36 +159,42 @@ impl TaskGraph {
             targets.extend_from_slice(graph.children(i));
             offsets.push(targets.len() as u32);
         }
-        Ok(cols.into_graph(offsets, targets, graph.num_devices()))
+        let tg = cols.into_graph(offsets, targets, graph.num_devices());
+        if let Some(i) = tg.unchained_task() {
+            panic!(
+                "operator graph is not stream-chained: node {i} is not a child of the previous \
+                 node on its (device, stream)"
+            );
+        }
+        Ok(tg)
     }
 
     /// Lowers `(model, plan)` in one fused pass: the graph builder streams
-    /// nodes directly into tasks (profiles resolved from `profiles`,
-    /// communication latencies from `comm`) without materializing an
+    /// nodes directly into tasks (compute latencies resolved through
+    /// `profiles`, communication latencies and flow programs from `comm`,
+    /// each once per distinct operator) without materializing an
     /// [`OpGraph`]. Produces a graph identical to
     /// [`TaskGraph::lower`]`(build_op_graph(..), ..)`.
     ///
     /// # Errors
     ///
-    /// Returns [`MissingProfile`] if a signature the builder emits is
-    /// absent from `profiles` (resolve
-    /// [`vtrain_graph::plan_signatures`] first).
+    /// Returns [`MissingProfile`] if `profiles` cannot resolve a signature
+    /// the builder emits.
     ///
     /// # Panics
     ///
     /// Same conditions as [`vtrain_graph::build_op_graph`].
-    pub fn lower_fused(
+    pub(crate) fn lower_fused<P: ProfileSource>(
         model: &ModelConfig,
         plan: &ParallelConfig,
         opts: &GraphOptions,
-        profiles: &ProfileSet,
+        profiles: &mut P,
         comm: &CommModel,
     ) -> Result<Self, MissingProfile> {
         let mut sink = LoweringSink {
             profiles,
             comm,
             sig_memo: Vec::with_capacity(16),
-            comm_memo: Vec::with_capacity(8),
             cols: Columns::with_capacity(0),
             edges: Vec::new(),
             num_devices: plan.pipeline() as u32,
@@ -193,16 +223,9 @@ impl TaskGraph {
             targets[*slot as usize] = to;
             *slot += 1;
         }
-        Ok(cols.into_graph(offsets, targets, num_devices))
-    }
-
-    #[cfg(test)]
-    fn assemble(tasks: Vec<Task>, offsets: Vec<u32>, targets: Vec<u32>, num_devices: u32) -> Self {
-        let mut cols = Columns::with_capacity(tasks.len());
-        for t in tasks {
-            cols.push(t.device, t.stream, t.duration, t.kind);
-        }
-        cols.into_graph(offsets, targets, num_devices)
+        let tg = cols.into_graph(offsets, targets, num_devices);
+        debug_assert_eq!(tg.unchained_task(), None, "the builder chains every stream");
+        Ok(tg)
     }
 
     /// The assembled view of task `i` (cheap: four column reads).
@@ -239,6 +262,14 @@ impl TaskGraph {
         &self.stream
     }
 
+    /// Task `i`'s bandwidth demand on the fair-sharing network — its
+    /// operator's [`CommModel::flow_program`] — or `None` for compute
+    /// tasks and for communication priced closed-form.
+    pub(crate) fn flow_program(&self, i: u32) -> Option<&FlowProgram> {
+        let program = *self.flow.get(i as usize)?;
+        self.programs.get(program as usize)
+    }
+
     /// Successor indices of task `i`.
     pub fn children(&self, i: u32) -> &[u32] {
         let lo = self.offsets[i as usize] as usize;
@@ -261,40 +292,19 @@ impl TaskGraph {
         self.num_devices
     }
 
-    /// True if every per-(device, stream) program is totally ordered by
-    /// dependency edges — the structural property under which the FIFO
-    /// replay's schedule is fully determined by the DAG alone, licensing
-    /// the simulator's dataflow fast path.
-    ///
-    /// Verified by an O(edges) scan on every call (graphs the builder
-    /// produces always pass): the property is *checked*, never trusted —
-    /// in particular it is not persisted, so a deserialized graph cannot
-    /// claim it falsely.
-    pub fn is_stream_chained(&self) -> bool {
-        self.is_stream_chained_with(&mut Vec::new())
-    }
-
-    /// [`TaskGraph::is_stream_chained`] over a caller-owned scratch buffer
-    /// (cleared and refilled), so repeated checks allocate nothing once
-    /// the buffer has grown to the largest graph seen.
-    pub fn is_stream_chained_with(&self, last: &mut Vec<Option<u32>>) -> bool {
-        let streams = 2 * self.num_devices as usize;
-        last.clear();
-        last.resize(streams, None);
-        for i in 0..self.len() {
-            let (device, stream) = (self.device[i], self.stream[i]);
-            if stream > 1 || device >= self.num_devices {
-                return false;
-            }
-            let slot = device as usize * 2 + stream as usize;
-            if let Some(prev) = last[slot] {
-                if !self.children(prev).contains(&(i as u32)) {
-                    return false;
+    /// The first task that is not a child of the previous task on its
+    /// (device, stream), or `None` if the graph is stream-chained.
+    fn unchained_task(&self) -> Option<u32> {
+        let mut last = vec![None; 2 * self.num_devices as usize];
+        for i in 0..self.len() as u32 {
+            let slot = self.device[i as usize] as usize * 2 + usize::from(self.stream[i as usize]);
+            if let Some(prev) = last[slot].replace(i) {
+                if !self.children(prev).contains(&i) {
+                    return Some(i);
                 }
             }
-            last[slot] = Some(i as u32);
         }
-        true
+        None
     }
 
     /// In-degrees (Algorithm 1's `ref` counts), written into `out`
@@ -310,11 +320,18 @@ impl TaskGraph {
 }
 
 /// The growing column set of a lowering in progress.
+///
+/// Communication is priced through a tiny linear-scan memo: one plan
+/// touches a handful of distinct communication shapes, and a short `Vec`
+/// probe beats pricing (and compiling a flow program for) every node.
 struct Columns {
     device: Vec<u32>,
     stream: Vec<u8>,
     duration: Vec<TimeNs>,
     kind: Vec<TaskKind>,
+    flow: Vec<u32>,
+    programs: Vec<FlowProgram>,
+    comm_memo: Vec<(CommOp, TimeNs, u32)>,
 }
 
 impl Columns {
@@ -324,7 +341,32 @@ impl Columns {
             stream: Vec::with_capacity(n),
             duration: Vec::with_capacity(n),
             kind: Vec::with_capacity(n),
+            flow: Vec::new(),
+            programs: Vec::new(),
+            comm_memo: Vec::with_capacity(8),
         }
+    }
+
+    /// Appends a communication task, pricing `op` and compiling its flow
+    /// program once per distinct operator.
+    fn push_comm(&mut self, device: u32, stream: u8, op: &CommOp, comm: &CommModel) {
+        let (latency, program) = match self.comm_memo.iter().find(|(cached, ..)| cached == op) {
+            Some(&(_, latency, program)) => (latency, program),
+            None => {
+                let program = comm.flow_program(op).map_or(NO_FLOW, |program| {
+                    self.programs.push(program);
+                    self.programs.len() as u32 - 1
+                });
+                let latency = comm.latency(op);
+                self.comm_memo.push((*op, latency, program));
+                (latency, program)
+            }
+        };
+        if program != NO_FLOW {
+            self.flow.resize(self.len(), NO_FLOW);
+            self.flow.push(program);
+        }
+        self.push(device, stream, latency, comm_kind(op));
     }
 
     fn push(&mut self, device: u32, stream: u8, duration: TimeNs, kind: TaskKind) {
@@ -338,12 +380,17 @@ impl Columns {
         self.duration.len()
     }
 
-    fn into_graph(self, offsets: Vec<u32>, targets: Vec<u32>, num_devices: u32) -> TaskGraph {
+    fn into_graph(mut self, offsets: Vec<u32>, targets: Vec<u32>, num_devices: u32) -> TaskGraph {
+        if !self.flow.is_empty() {
+            self.flow.resize(self.len(), NO_FLOW);
+        }
         TaskGraph {
             device: self.device,
             stream: self.stream,
             duration: self.duration,
             kind: self.kind,
+            flow: self.flow,
+            programs: self.programs,
             offsets,
             targets,
             num_devices,
@@ -369,29 +416,28 @@ fn comm_kind(c: &CommOp) -> TaskKind {
 
 /// A [`GraphSink`] mapping builder nodes straight to task columns.
 ///
-/// Profile and communication-latency lookups are memoized in tiny
-/// linear-scan tables: one plan touches ≲ a dozen distinct compute
-/// signatures and a handful of distinct communication shapes, and a short
-/// `Vec` probe beats hashing an 80-byte signature per node.
-struct LoweringSink<'a> {
-    profiles: &'a ProfileSet,
+/// Profile lookups are memoized in a tiny linear-scan table: one plan
+/// touches ≲ a dozen distinct compute signatures (plus one weight update
+/// per stage), and a short `Vec` probe beats resolving an 80-byte
+/// signature per node.
+struct LoweringSink<'a, P> {
+    profiles: &'a mut P,
     comm: &'a CommModel,
     sig_memo: Vec<(OpSignature, TimeNs, u32)>,
-    comm_memo: Vec<(CommOp, TimeNs)>,
     cols: Columns,
     edges: Vec<(u32, u32)>,
     num_devices: u32,
     missing: bool,
 }
 
-impl LoweringSink<'_> {
+impl<P: ProfileSource> LoweringSink<'_, P> {
     fn compute_latency(&mut self, sig: &OpSignature) -> (TimeNs, u32) {
         if let Some(&(_, total, kernels)) =
             self.sig_memo.iter().find(|(cached, _, _)| cached == sig)
         {
             return (total, kernels);
         }
-        let (total, kernels) = match self.profiles.lookup(sig) {
+        let (total, kernels) = match self.profiles.op_latency(sig) {
             Some(hit) => hit,
             None => {
                 self.missing = true;
@@ -401,18 +447,9 @@ impl LoweringSink<'_> {
         self.sig_memo.push((*sig, total, kernels));
         (total, kernels)
     }
-
-    fn comm_latency(&mut self, op: &CommOp) -> TimeNs {
-        if let Some(&(_, latency)) = self.comm_memo.iter().find(|(cached, _)| cached == op) {
-            return latency;
-        }
-        let latency = self.comm.latency(op);
-        self.comm_memo.push((*op, latency));
-        latency
-    }
 }
 
-impl GraphSink for LoweringSink<'_> {
+impl<P: ProfileSource> GraphSink for LoweringSink<'_, P> {
     fn push(&mut self, node: OpNode) -> u32 {
         let stream = stream_index(node.stream);
         let idx = self.cols.len() as u32;
@@ -421,10 +458,7 @@ impl GraphSink for LoweringSink<'_> {
                 let (duration, kernels) = self.compute_latency(&c.sig);
                 self.cols.push(node.device, stream, duration, TaskKind::Compute { kernels });
             }
-            Op::Comm(c) => {
-                let latency = self.comm_latency(c);
-                self.cols.push(node.device, stream, latency, comm_kind(c));
-            }
+            Op::Comm(c) => self.cols.push_comm(node.device, stream, c, self.comm),
         }
         idx
     }
@@ -439,8 +473,9 @@ mod tests {
     use super::*;
     use vtrain_graph::build_op_graph;
     use vtrain_model::presets;
+    use vtrain_net::NetworkBackend;
     use vtrain_parallel::{ClusterSpec, GpuSpec, ParallelConfig};
-    use vtrain_profile::{ProfileCache, Profiler};
+    use vtrain_profile::{ProfileCache, ProfileSet, Profiler};
 
     fn lower_plan(t: usize, d: usize, p: usize) -> TaskGraph {
         let model = presets::megatron("1.7B");
@@ -472,7 +507,7 @@ mod tests {
         assert_eq!(tg.len(), graph.num_nodes());
         assert_eq!(tg.num_devices(), 2);
         assert!(tg.durations().iter().all(|&d| d > TimeNs::ZERO));
-        assert!(tg.is_stream_chained(), "builder graphs are chained by construction");
+        assert_eq!(tg.unchained_task(), None, "builder graphs are chained by construction");
     }
 
     #[test]
@@ -505,7 +540,7 @@ mod tests {
             &model,
             &plan,
             &GraphOptions::default(),
-            &ProfileSet::default(),
+            &mut ProfileSet::default(),
             &comm,
         )
         .unwrap_err();
@@ -532,7 +567,8 @@ mod tests {
     fn fused_lowering_is_identical_to_two_phase() {
         let model = presets::megatron("1.7B");
         let cluster = ClusterSpec::aws_p4d(64);
-        let comm = CommModel::new(&cluster, 1.0);
+        let closed = CommModel::new(&cluster, 1.0);
+        let fair = closed.clone().with_backend(NetworkBackend::FairSharing);
         let cache = ProfileCache::new();
         let profiler = Profiler::new(cluster.gpu.clone());
         for (t, d, p, m, b) in [(1, 1, 1, 1, 4), (2, 2, 2, 1, 8), (2, 4, 3, 2, 16)] {
@@ -547,42 +583,68 @@ mod tests {
             let opts = GraphOptions::default();
             let graph = build_op_graph(&model, &plan, &opts);
             let table = profiler.profile(&graph.necessary_operators());
-            let two_phase = TaskGraph::lower(&graph, &table, &comm).unwrap();
-
             let sigs = vtrain_graph::plan_signatures(&model, &plan, &opts);
-            let profiles = cache.resolve(&profiler, &sigs);
-            let fused = TaskGraph::lower_fused(&model, &plan, &opts, &profiles, &comm).unwrap();
+            let mut profiles = cache.resolve(&profiler, &sigs);
+            for comm in [&closed, &fair] {
+                let two_phase = TaskGraph::lower(&graph, &table, comm).unwrap();
+                let fused =
+                    TaskGraph::lower_fused(&model, &plan, &opts, &mut profiles, comm).unwrap();
 
-            assert_eq!(fused.len(), two_phase.len());
-            assert_eq!(fused.num_devices(), two_phase.num_devices());
-            assert!(fused.is_stream_chained());
-            for i in 0..fused.len() as u32 {
-                let (a, b) = (fused.task(i), two_phase.task(i));
-                assert_eq!(
-                    (a.device, a.stream, a.duration, a.kind),
-                    (b.device, b.stream, b.duration, b.kind)
-                );
-                assert_eq!(fused.children(i), two_phase.children(i), "children of {i}");
+                assert_eq!(fused.len(), two_phase.len());
+                assert_eq!(fused.num_devices(), two_phase.num_devices());
+                assert_eq!(fused.unchained_task(), None);
+                for i in 0..fused.len() as u32 {
+                    let (a, b) = (fused.task(i), two_phase.task(i));
+                    assert_eq!(
+                        (a.device, a.stream, a.duration, a.kind),
+                        (b.device, b.stream, b.duration, b.kind)
+                    );
+                    assert_eq!(fused.children(i), two_phase.children(i), "children of {i}");
+                    assert_eq!(fused.flow_program(i), two_phase.flow_program(i), "flow of {i}");
+                }
             }
         }
     }
 
     #[test]
     fn hand_built_unchained_graph_is_detected() {
-        // Two tasks on one stream with no edge between them: not chained.
-        let task = Task {
+        let send = OpNode {
             device: 0,
-            stream: 0,
-            duration: TimeNs::from_micros(1),
-            kind: TaskKind::Compute { kernels: 1 },
+            stream: StreamKind::Comm,
+            op: Op::Comm(CommOp {
+                kind: CommKind::PpSendRecv,
+                bytes: vtrain_model::Bytes::from_mib(1),
+                ranks: 2,
+                scope: CommScope::InterNode,
+                placement: vtrain_net::GroupPlacement::pair(1),
+                overlappable: false,
+                concurrent_groups: 1,
+            }),
         };
-        let tg = TaskGraph::assemble(vec![task, task], vec![0, 0, 0], vec![], 1);
-        assert!(!tg.is_stream_chained());
-        // Adding the chain edge restores the property.
-        let tg = TaskGraph::assemble(vec![task, task], vec![0, 1, 1], vec![1], 1);
-        assert!(tg.is_stream_chained());
+        let comm = CommModel::new(&ClusterSpec::aws_p4d(8), 1.0);
+        let table = OperatorTaskTable::new();
+        // Two sends on one stream, ordered by an edge: chained.
+        let mut graph = OpGraph::new(1);
+        let a = graph.push(send.clone());
+        let b = graph.push(send.clone());
+        graph.add_edge(a, b);
+        let tg = TaskGraph::lower(&graph, &table, &comm).unwrap();
         let mut deg = Vec::new();
         tg.fill_in_degrees(&mut deg);
         assert_eq!(deg, vec![0, 1]);
+        // Without the edge the replay could not order them: rejected.
+        let mut graph = OpGraph::new(1);
+        graph.push(send.clone());
+        graph.push(send);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            TaskGraph::lower(&graph, &table, &comm)
+        }))
+        .expect_err("an unchained graph must be rejected");
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| err.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(msg.contains("not stream-chained"), "unexpected panic: {msg}");
     }
 }

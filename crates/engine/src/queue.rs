@@ -42,17 +42,17 @@ impl<E> Ord for EventEntry<E> {
 ///
 /// Events pop in ascending `(time, seq)` order, where `seq` is assigned at
 /// insertion. Equal-timestamp events therefore pop in exactly the order
-/// they were scheduled — the property the Algorithm 1 port relies on to
-/// reproduce the paper's FIFO ready queue, and the property that makes
-/// whole-simulation replays bit-identical.
+/// they were scheduled — the property that keeps the fair-sharing
+/// replay's ready tasks in FIFO order and makes whole-simulation replays
+/// bit-identical.
 #[derive(Clone, Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<EventEntry<E>>,
     /// Same-timestamp fast lane: a run of entries all sharing one dispatch
     /// time, in ascending `seq` order (guaranteed because `seq` is assigned
     /// monotonically and entries only append). Consecutive same-time pushes
-    /// — the shape Algorithm 1 produces, where *every* readiness event
-    /// lands on one logical tick — bypass the heap entirely, making them
+    /// — the shape a replay produces when one finish releases several
+    /// tasks at the same instant — bypass the heap entirely, making them
     /// O(1) instead of O(log n).
     ///
     /// Correctness: pop takes the global `(time, seq)` minimum of the heap

@@ -203,3 +203,28 @@ fn cli_exit_codes_follow_the_table() {
     assert_eq!(output.status.code(), Some(2), "budget flags misuse is a usage error");
     let _ = std::fs::remove_file(path);
 }
+
+#[test]
+fn cli_rejects_a_nesting_bomb_with_its_position() {
+    // 400 KB of `[`: parsed without a nesting limit it would overflow the
+    // stack and abort the CLI.
+    let bomb = scenario_file("bomb", &"[".repeat(400_000));
+    let output = cli().arg("validate").arg(&bomb).output().expect("run CLI");
+    assert_eq!(output.status.code(), Some(2), "a nesting bomb is bad input: {output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("recursion limit exceeded"), "{stderr}");
+    assert!(stderr.contains("line 1 column 129"), "{stderr}");
+
+    let output = cli().arg("validate").arg(&bomb).arg("--json").output().expect("run CLI");
+    assert_eq!(output.status.code(), Some(2));
+    let response: Response =
+        serde_json::from_str(String::from_utf8_lossy(&output.stdout).trim()).expect("envelope");
+    match response.outcome {
+        Outcome::Err(body) => {
+            assert_eq!(body.code, api::ErrorCode::BadRequest);
+            assert_eq!((body.line, body.column), (Some(1), Some(129)), "{}", body.message);
+        }
+        Outcome::Ok(_) => panic!("a nesting bomb must fail"),
+    }
+    let _ = std::fs::remove_file(bomb);
+}

@@ -185,6 +185,42 @@ fn oversized_frames_bounce_but_the_connection_survives() {
     daemon.join().expect("daemon thread");
 }
 
+#[test]
+fn nesting_bomb_frames_are_classified_and_the_daemon_survives() {
+    // 400 KB of `[` fits the frame bound; parsed without a nesting
+    // limit it would overflow the stack and abort the whole daemon.
+    let (addr, daemon) =
+        spawn_server(ServerConfig { workers: 1, threads: Some(1), ..ServerConfig::default() });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    let bomb = format!("{}\n", "[".repeat(400_000));
+    stream.write_all(bomb.as_bytes()).expect("write bomb frame");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read bomb answer");
+    let answer: Response = serde_json::from_str(line.trim()).expect("answer parses");
+    match answer.outcome {
+        Outcome::Err(body) => {
+            assert_eq!(body.code, ErrorCode::BadRequest);
+            assert!(body.message.contains("recursion limit exceeded"), "{}", body.message);
+            assert_eq!((body.line, body.column), (Some(1), Some(129)), "{}", body.message);
+        }
+        other => panic!("a nesting bomb must be rejected, got {other:?}"),
+    }
+
+    // The daemon, and this connection, still answer the next valid frame.
+    stream.write_all(b"{\"v\":1,\"id\":\"after-bomb\",\"kind\":\"Stats\"}\n").expect("write stats");
+    line.clear();
+    reader.read_line(&mut line).expect("read stats");
+    let stats: Response = serde_json::from_str(line.trim()).expect("stats parses");
+    assert_eq!(stats.id, "after-bomb");
+    assert!(matches!(stats.outcome, Outcome::Ok(Report::Stats(_))));
+
+    let mut control = retrying_client(addr, 0);
+    control.shutdown().expect("daemon drains");
+    daemon.join().expect("daemon thread");
+}
+
 fn temp_snapshot(tag: &str) -> PathBuf {
     let path =
         std::env::temp_dir().join(format!("vtrain-chaos-{tag}-{}.snapshot", std::process::id()));
